@@ -48,8 +48,7 @@ done
 # Sharding determinism gate: the master/worker split must be just as
 # invisible as the thread pool. The same report, run as 2 and 5 shards
 # crossed with 1 and 8 workers, must be byte-identical to the
-# monolithic 1-thread reference above — including the disk-cache
-# counters (reconstructed exactly at merge time) and the JSONL trace.
+# monolithic 1-thread reference above — including the JSONL trace.
 for s in 2 5; do
     for t in 1 8; do
         PV_SHARDS=$s PV_THREADS=$t \
@@ -62,6 +61,17 @@ for s in 2 5; do
         }
     done
 done
+
+# Results freshness gate: the committed small-scale headline numbers
+# must be exactly what the current code prints. A diff means either a
+# behaviour change (refresh bench_output/headline_small.txt on purpose,
+# and say why) or an accidental one (fix the code).
+cargo run -q --release --offline -p bench --bin figures -- headline --scale small \
+    > "$report_dir/headline_small.txt"
+cmp bench_output/headline_small.txt "$report_dir/headline_small.txt" || {
+    echo "FAIL: figures headline --scale small differs from bench_output/headline_small.txt" >&2
+    exit 1
+}
 
 # Verdict-store smoke: write a study epoch to disk, reopen the file
 # cold, and answer the lookup/trend/false-rate queries without

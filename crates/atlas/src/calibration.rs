@@ -110,24 +110,23 @@ mod tests {
     use crate::constellation::{Constellation, ConstellationConfig};
     use geokit::GeoGrid;
     use netsim::{WorldNet, WorldNetConfig};
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Arc, OnceLock};
     use worldmap::WorldAtlas;
 
-    fn setup() -> &'static Mutex<(WorldNet, Constellation, CalibrationDb)> {
-        static S: OnceLock<Mutex<(WorldNet, Constellation, CalibrationDb)>> = OnceLock::new();
+    fn setup() -> &'static (WorldNet, Constellation, CalibrationDb) {
+        static S: OnceLock<(WorldNet, Constellation, CalibrationDb)> = OnceLock::new();
         S.get_or_init(|| {
             let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
             let mut world = WorldNet::build(atlas, WorldNetConfig::default());
             let c = Constellation::place(&mut world, &ConstellationConfig::small(5));
             let db = CalibrationDb::collect(world.network_mut(), &c, 12);
-            Mutex::new((world, c, db))
+            (world, c, db)
         })
     }
 
     #[test]
     fn one_set_per_anchor() {
-        let s = setup().lock().unwrap();
-        let (_, c, db) = &*s;
+        let (_, c, db) = setup();
         assert_eq!(db.len(), c.num_anchors());
         for i in 0..db.len() {
             assert_eq!(db.for_anchor(i).len(), c.num_anchors() - 1);
@@ -136,8 +135,7 @@ mod tests {
 
     #[test]
     fn no_point_beats_fiber_speed() {
-        let s = setup().lock().unwrap();
-        let (_, _, db) = &*s;
+        let (_, _, db) = setup();
         for i in 0..db.len() {
             for &(d, t) in db.for_anchor(i).points() {
                 // one-way time must respect distance / 200 km/ms.
@@ -154,8 +152,7 @@ mod tests {
         // The bulk of calibration points should imply an effective speed
         // well below the fibre limit (circuitous paths), clustering near
         // the ~60–150 km/ms band the paper's Fig. 2 shows.
-        let s = setup().lock().unwrap();
-        let (_, _, db) = &*s;
+        let (_, _, db) = setup();
         let mut speeds = Vec::new();
         for i in 0..db.len() {
             for &(d, t) in db.for_anchor(i).points() {

@@ -80,7 +80,7 @@ fn bench_single_proxy(c: &mut Criterion) {
                 run_two_phase(ctx.study.world.network_mut(), &server, &mut prober, &mut rng)
                     .expect("measured");
             let prediction =
-                CbgPlusPlus.locate_traced(&two_phase.observations, &mask, None, &recorder);
+                CbgPlusPlus.locate_traced(&two_phase.observations, &mask, &recorder);
             black_box(assess_claim(&atlas, &prediction.region, proxy.claimed))
         })
     });

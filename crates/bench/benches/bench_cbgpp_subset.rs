@@ -4,7 +4,7 @@
 use bench::harness::Criterion;
 use bench::{criterion_group, criterion_main};
 use geokit::{GeoGrid, GeoPoint, Region};
-use geoloc::multilateration::{max_consistent_subset, RingConstraint};
+use geoloc::multilateration::{max_consistent_subset, FastPath, RingConstraint};
 use std::hint::black_box;
 
 fn consistent(n: usize) -> Vec<RingConstraint> {
@@ -32,11 +32,25 @@ fn bench_subset(c: &mut Criterion) {
         for n in [10usize, 25] {
             let fast = consistent(n);
             group.bench_function(format!("fast path {res}deg x{n}"), |b| {
-                b.iter(|| max_consistent_subset(black_box(&fast), black_box(&mask)))
+                b.iter(|| {
+                    max_consistent_subset(
+                        black_box(&fast),
+                        black_box(&mask),
+                        FastPath::Snapped,
+                        None,
+                    )
+                })
             });
             let slow = with_conflict(n);
             group.bench_function(format!("counting sweep {res}deg x{n}"), |b| {
-                b.iter(|| max_consistent_subset(black_box(&slow), black_box(&mask)))
+                b.iter(|| {
+                    max_consistent_subset(
+                        black_box(&slow),
+                        black_box(&mask),
+                        FastPath::Snapped,
+                        None,
+                    )
+                })
             });
         }
     }

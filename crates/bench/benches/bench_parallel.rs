@@ -31,9 +31,7 @@ const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// A cheap but complete digest of the deterministic study output: if two
 /// runs agree on this, they agreed on every record field that reaches a
-/// report. Cache hit/miss telemetry is *included* — the fill-once disk
-/// cache makes the split exact, so it is part of the determinism
-/// contract rather than an exemption from it.
+/// report.
 fn fingerprint(results: &StudyResults) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -60,10 +58,6 @@ fn fingerprint(results: &StudyResults) -> u64 {
         mix(u64::from(f.proxy.node));
         mix(f.diagnostics.attempts as u64);
     }
-    let cache = results.cache_stats();
-    mix(cache.hits);
-    mix(cache.misses);
-    mix(cache.entries as u64);
     h
 }
 
@@ -105,15 +99,12 @@ struct Measurement {
     best_secs: f64,
     proxies: usize,
     fingerprint: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_entries: usize,
 }
 
 fn measure(scale: Scale, threads: usize, runs: usize) -> Measurement {
     let mut best_secs = f64::INFINITY;
     let mut fp = 0u64;
-    let (mut proxies, mut hits, mut misses, mut entries) = (0usize, 0u64, 0u64, 0usize);
+    let mut proxies = 0usize;
     for _ in 0..runs.max(1) {
         // Rebuild per run: `run` advances the world clock, so timing a
         // rerun on a mutated world would not compare like with like.
@@ -124,19 +115,12 @@ fn measure(scale: Scale, threads: usize, runs: usize) -> Measurement {
         let secs = t0.elapsed().as_secs_f64();
         best_secs = best_secs.min(secs);
         fp = fingerprint(&results);
-        let cache = results.cache_stats();
-        hits = cache.hits;
-        misses = cache.misses;
-        entries = cache.entries;
     }
     Measurement {
         threads,
         best_secs,
         proxies,
         fingerprint: fp,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_entries: entries,
     }
 }
 
@@ -188,18 +172,11 @@ fn main() {
 
     // Byte-identity across thread counts is part of the contract; a bench
     // that silently measured diverging runs would be lying about what it
-    // parallelized. The fingerprint now covers cache telemetry too, so a
-    // reappearance of the old racy double-rasterize would fail here.
+    // parallelized.
     let fp0 = measurements[0].fingerprint;
     assert!(
         measurements.iter().all(|m| m.fingerprint == fp0),
         "study output diverged across thread counts"
-    );
-    assert!(
-        measurements
-            .iter()
-            .all(|m| m.cache_misses == m.cache_entries as u64),
-        "fill-once cache must rasterize each key exactly once"
     );
 
     let dir = std::env::var("BENCH_OUTPUT_DIR")
@@ -224,14 +201,11 @@ fn main() {
         let comma = if i + 1 < measurements.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"threads\": {}, \"seconds\": {:.6}, \"proxies_per_sec\": {:.3}, \"speedup_vs_1\": {:.4}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_entries\": {}}}{comma}",
+            "    {{\"threads\": {}, \"seconds\": {:.6}, \"proxies_per_sec\": {:.3}, \"speedup_vs_1\": {:.4}}}{comma}",
             m.threads,
             m.best_secs,
             m.proxies as f64 / m.best_secs,
             base / m.best_secs,
-            m.cache_hits,
-            m.cache_misses,
-            m.cache_entries,
         );
     }
     let _ = writeln!(json, "  ]");

@@ -8,9 +8,7 @@
 //! study reports. Everything printed here must therefore be
 //! a pure function of the study seed: the perf telemetry block
 //! (`render_perf_telemetry`) is absent because it prints wall-clock
-//! span timings, but the disk-cache hit/miss/entry counts it draws on
-//! are exact under the fill-once cache, so they are printed — and
-//! diffed — directly. The observability block, the deterministic half
+//! span timings. The observability block, the deterministic half
 //! of the progress-snapshot stream, and the full JSONL event trace are
 //! included too: per-proxy event buffers and snapshot deltas are merged
 //! in proxy order, so they must be byte-identical at any thread count.
@@ -33,16 +31,10 @@ fn main() {
     println!("---");
     print!("{}", report::render_observability(&results));
     println!("---");
-    let cache = results.cache_stats();
-    println!(
-        "disk cache: {} hits, {} misses, {} entries",
-        cache.hits, cache.misses, cache.entries
-    );
-    println!("---");
     // The deterministic half of each progress snapshot: a pure function
     // of (seed, snapshot_every), so it diffs byte-identically across
-    // every shard × thread combination. The wall half (elapsed, ETA,
-    // cache hit ratio) is deliberately absent from this rendering.
+    // every shard × thread combination. The wall half (elapsed, ETA) is
+    // deliberately absent from this rendering.
     print!("{}", results.snapshots_jsonl());
     println!("---");
     print!("{}", results.trace_jsonl());

@@ -1,8 +1,8 @@
 //! The span-profile figure (not a paper figure): the hierarchical
 //! wall-clock profile of a full audit run, straight from the study's
 //! recorder — phase-1/phase-2 probing, retries and backoff, disk
-//! intersection and the counting sweep, disk-cache lookups, and report
-//! rendering, as an indented tree with per-path call counts and
+//! intersection and the counting sweep, and report rendering, as an
+//! indented tree with per-path call counts and
 //! self/cumulative time.
 //!
 //! Unlike the other figures this output is **machine- and
@@ -14,7 +14,7 @@ use crate::scale::StudyContext;
 use vpnstudy::report;
 
 /// Render the study run's span tree plus the wall-clock telemetry block
-/// (thread count, disk-cache hit rate, coarse span totals).
+/// (thread count, coarse span totals).
 pub fn profile_spans(ctx: &StudyContext) -> String {
     let mut out = report::render_profile(&ctx.results);
     out.push('\n');

@@ -2,13 +2,12 @@
 //! re-measured and compared against a committed baseline artifact.
 //!
 //! The gate's job is to catch *large accidental regressions* (an
-//! algorithmic slip that doubles the cost of disk intersection, a cache
-//! that stops hitting) without turning CI red on machine noise. Hence:
+//! algorithmic slip that doubles the cost of disk intersection) without
+//! turning CI red on machine noise. Hence:
 //!
 //! * the smoke suite is tiny and dominated by the hot kernels the paper
 //!   pipeline actually spends its time in (cap rasterization, disk
-//!   intersection, the counting sweep, disk-cache lookups, and one full
-//!   single-proxy audit);
+//!   intersection, the counting sweep, and one full single-proxy audit);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   the default is ±30 % ([`DEFAULT_TOLERANCE`]), overridable globally
 //!   via the `PV_PERF_GATE_TOL` environment variable and per entry via
@@ -31,7 +30,7 @@ use geoloc::algorithms::CbgPlusPlus;
 use geoloc::assess::assess_claim;
 use geoloc::multilateration::{
     intersect_constraints, max_consistent_subset, pairwise_infeasible_flags,
-    robust_max_consistent_subset, DiskCache, RingConstraint,
+    robust_max_consistent_subset, FastPath, RingConstraint,
 };
 use geoloc::proxy::ProxyContext;
 use geoloc::twophase::{run_two_phase, ProxyProber};
@@ -59,15 +58,14 @@ pub fn default_tolerance() -> f64 {
 
 /// Per-entry tolerances written by `perf_gate --update`. The audit entry
 /// runs a whole simulated measurement pipeline whose cost moves with the
-/// study RNG and allocator behaviour, and the cache-hit entry measures
-/// tens of nanoseconds where scheduling jitter alone is a double-digit
-/// percentage — both get looser budgets than the default.
+/// study RNG and allocator behaviour, and the verdict-query entry
+/// measures tens of nanoseconds where scheduling jitter alone is a
+/// double-digit percentage — both get looser budgets than the default.
 pub fn suite_tolerance(name: &str) -> Option<f64> {
     match name {
         "gate/audit_one_proxy" => Some(0.60),
-        "gate/cache_hit" => Some(0.50),
-        // Like cache_hit: a hash-map lookup measured in tens of
-        // nanoseconds, where scheduling jitter is a large fraction.
+        // A hash-map lookup measured in tens of nanoseconds, where
+        // scheduling jitter is a large fraction.
         "gate/verdict_query" => Some(0.50),
         // Dominated by string formatting and allocation, which moves
         // with allocator state more than with the code under test.
@@ -141,7 +139,9 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
 
     let (bad, bad_mask) = inconsistent_disks();
     out.push(run_sampled("gate/counting_sweep", samples, |b| {
-        b.iter(|| max_consistent_subset(black_box(&bad), black_box(&bad_mask)))
+        b.iter(|| {
+            max_consistent_subset(black_box(&bad), black_box(&bad_mask), FastPath::Exact, None)
+        })
     }));
 
     let (mixed, mixed_mask) = byzantine_disks();
@@ -153,21 +153,7 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
                 &report.flagged,
                 black_box(&mixed_mask),
                 None,
-                None,
             )
-        })
-    }));
-
-    let cache = DiskCache::new(GeoGrid::new(1.0));
-    out.push(run_sampled("gate/cache_hit", samples, |b| {
-        let lm = GeoPoint::new(48.0, 11.0);
-        // Rotate through a handful of radii so the steady state is
-        // all-hits over a few keys — the lookup path, not rasterization.
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let radius = 600.0 + 200.0 * (i % 4) as f64;
-            black_box(cache.disk(&lm, radius))
         })
     }));
 
@@ -511,7 +497,6 @@ mod tests {
                 "gate/disk_intersect",
                 "gate/counting_sweep",
                 "gate/robust_subset",
-                "gate/cache_hit",
                 "gate/phase1_server_build",
                 "gate/audit_one_proxy",
                 "gate/verdict_query",

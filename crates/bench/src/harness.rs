@@ -421,7 +421,7 @@ impl BenchmarkGroup<'_> {
     /// Attach a recorder whose counters should land in this group's
     /// `BENCH_<group>.json` artifact. The snapshot is taken at
     /// `finalize`, after every bench in the group has run, so counters
-    /// accumulated during the benches (probe counts, cache hits) appear
+    /// accumulated during the benches (probe counts, retries) appear
     /// in the artifact alongside the timings.
     pub fn capture_recorder(&mut self, rec: &obs::Recorder) -> &mut Self {
         self.recorder = Some(rec.clone());

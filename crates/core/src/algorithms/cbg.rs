@@ -3,9 +3,7 @@
 
 use crate::algorithms::{Geolocator, Prediction};
 use crate::delay_model::CbgModel;
-use crate::multilateration::{
-    intersect_constraints, intersect_constraints_cached, DiskCache, RingConstraint,
-};
+use crate::multilateration::{intersect_constraints, RingConstraint};
 use crate::observation::Observation;
 use geokit::Region;
 
@@ -24,23 +22,6 @@ impl Cbg {
                     .inflated(slack)
             })
             .collect()
-    }
-
-    /// [`Geolocator::locate`] with bestline disks drawn from a shared
-    /// [`DiskCache`] (radii quantized up by at most one grid cell).
-    pub fn locate_cached(
-        &self,
-        observations: &[Observation],
-        mask: &Region,
-        cache: &DiskCache,
-    ) -> Prediction {
-        Prediction {
-            region: intersect_constraints_cached(
-                &Self::constraints(observations, mask),
-                mask,
-                cache,
-            ),
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::algorithms::{Geolocator, Prediction};
 use crate::delay_model::CbgModel;
 use crate::multilateration::subset::constraint_overlaps_region;
-use crate::multilateration::{max_consistent_subset_profiled, DiskCache, RingConstraint};
+use crate::multilateration::{max_consistent_subset, FastPath, RingConstraint};
 use crate::observation::Observation;
 use geokit::Region;
 
@@ -39,28 +39,16 @@ impl Geolocator for CbgPlusPlus {
 }
 
 impl CbgPlusPlus {
-    /// [`Geolocator::locate`] with both constraint passes drawing disks
-    /// from a shared [`DiskCache`].
-    pub fn locate_cached(
-        &self,
-        observations: &[Observation],
-        mask: &Region,
-        cache: &DiskCache,
-    ) -> Prediction {
-        CbgPlusPlusVariant::default().locate_impl(observations, mask, Some(cache), None)
-    }
-
-    /// [`CbgPlusPlus::locate_cached`] that also narrates its stage funnel
+    /// [`Geolocator::locate`] that also narrates its stage funnel
     /// (baseline region, bestline filter, subset search, empty-region
     /// causes) through an [`obs::Recorder`].
     pub fn locate_traced(
         &self,
         observations: &[Observation],
         mask: &Region,
-        cache: Option<&DiskCache>,
         rec: &obs::Recorder,
     ) -> Prediction {
-        CbgPlusPlusVariant::default().locate_impl(observations, mask, cache, Some(rec))
+        CbgPlusPlusVariant::default().locate_impl(observations, mask, Some(rec))
     }
 }
 
@@ -95,31 +83,20 @@ impl Geolocator for CbgPlusPlusVariant {
     }
 
     fn locate(&self, observations: &[Observation], mask: &Region) -> Prediction {
-        self.locate_impl(observations, mask, None, None)
+        self.locate_impl(observations, mask, None)
     }
 }
 
 impl CbgPlusPlusVariant {
-    /// [`Geolocator::locate`] with both constraint passes drawing disks
-    /// from a shared [`DiskCache`].
-    pub fn locate_cached(
-        &self,
-        observations: &[Observation],
-        mask: &Region,
-        cache: &DiskCache,
-    ) -> Prediction {
-        self.locate_impl(observations, mask, Some(cache), None)
-    }
-
     fn locate_impl(
         &self,
         observations: &[Observation],
         mask: &Region,
-        cache: Option<&DiskCache>,
         rec: Option<&obs::Recorder>,
     ) -> Prediction {
+        // Both subset searches snap their fast-path radii to whole cells.
         let subset = |constraints: &[RingConstraint], m: &Region| {
-            max_consistent_subset_profiled(constraints, m, cache, rec)
+            max_consistent_subset(constraints, m, FastPath::Snapped, rec)
         };
         let slack = crate::multilateration::constraint::grid_slack_km(mask.grid());
 

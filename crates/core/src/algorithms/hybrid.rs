@@ -5,7 +5,7 @@
 
 use crate::algorithms::{Geolocator, Prediction};
 use crate::delay_model::SpotterModel;
-use crate::multilateration::{max_consistent_subset, RingConstraint};
+use crate::multilateration::{max_consistent_subset, FastPath, RingConstraint};
 use crate::observation::Observation;
 use geokit::Region;
 
@@ -45,7 +45,7 @@ impl Geolocator for Hybrid {
         // Same weight-based multilateration as Quasi-Octant (§3.4: the
         // hybrid borrows "Quasi-Octant's ring-based multilateration").
         Prediction {
-            region: max_consistent_subset(&constraints, mask).region,
+            region: max_consistent_subset(&constraints, mask, FastPath::Exact, None).region,
         }
     }
 }

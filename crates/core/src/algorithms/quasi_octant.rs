@@ -2,7 +2,7 @@
 
 use crate::algorithms::{Geolocator, Prediction};
 use crate::delay_model::OctantModel;
-use crate::multilateration::{max_consistent_subset, RingConstraint};
+use crate::multilateration::{max_consistent_subset, FastPath, RingConstraint};
 use crate::observation::Observation;
 use geokit::Region;
 
@@ -33,7 +33,7 @@ impl Geolocator for QuasiOctant {
         // degrades to a (wrong) region rather than to nothing when noisy
         // rings conflict, which is the behaviour Fig. 9 shows.
         Prediction {
-            region: max_consistent_subset(&constraints, mask).region,
+            region: max_consistent_subset(&constraints, mask, FastPath::Exact, None).region,
         }
     }
 }

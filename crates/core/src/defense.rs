@@ -40,7 +40,7 @@ use crate::algorithms::CbgPlusPlus;
 use crate::delay_model::CbgModel;
 use crate::multilateration::constraint::grid_slack_km;
 use crate::multilateration::{
-    pairwise_infeasible_flags, robust_max_consistent_subset, DiskCache, RingConstraint,
+    pairwise_infeasible_flags, robust_max_consistent_subset, RingConstraint,
 };
 use crate::observation::Observation;
 use crate::reliability::MeasurementDiagnostics;
@@ -209,7 +209,6 @@ pub fn run_defense(
     diagnostics: &MeasurementDiagnostics,
     pings: TunnelPings,
     mask: &Region,
-    cache: Option<&DiskCache>,
     rec: &obs::Recorder,
     cfg: &DefenseConfig,
 ) -> DefenseReport {
@@ -236,7 +235,7 @@ pub fn run_defense(
     // 2. Trimmed robust subset over the unflagged disks: anything the
     // subset search *still* discards is named (but on its own it is the
     // ordinary underestimation CBG++ tolerates, not evidence).
-    let robust = robust_max_consistent_subset(&disks, &pairwise.flagged, mask, cache, Some(rec));
+    let robust = robust_max_consistent_subset(&disks, &pairwise.flagged, mask, Some(rec));
     report.trimmed = robust.discarded.len();
 
     // 3. Disjoint-subset quorum over the unflagged observations.
@@ -262,7 +261,7 @@ pub fn run_defense(
         }
         let regions: Vec<Region> = parts
             .iter()
-            .map(|p| CbgPlusPlus.locate_traced(p, mask, cache, rec).region)
+            .map(|p| CbgPlusPlus.locate_traced(p, mask, rec).region)
             .collect();
         report.quorum_groups_checked = regions.len();
         'pairs: for i in 0..regions.len() {
@@ -404,7 +403,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );
@@ -432,7 +430,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );
@@ -456,7 +453,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );
@@ -475,10 +471,10 @@ mod tests {
         };
         let cfg = DefenseConfig::enabled();
         let rec = obs::Recorder::off();
-        let forward = run_defense(&obs, &diag, TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 }, &mask, None, &rec, &cfg);
+        let forward = run_defense(&obs, &diag, TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 }, &mask, &rec, &cfg);
         let mut rev = obs.clone();
         rev.reverse();
-        let backward = run_defense(&rev, &diag, TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 }, &mask, None, &rec, &cfg);
+        let backward = run_defense(&rev, &diag, TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 }, &mask, &rec, &cfg);
         // Flags are indices into different orders; compare by identity.
         let pick = |r: &DefenseReport, o: &[Observation]| -> Vec<(u64, u64)> {
             let mut v: Vec<(u64, u64)> = r
@@ -516,7 +512,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 8.0, direct_ping_ms: Some(4.0), eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );
@@ -526,7 +521,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 40.0, direct_ping_ms: Some(4.0), eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );
@@ -538,7 +532,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 40.0, direct_ping_ms: None, eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );
@@ -555,7 +548,6 @@ mod tests {
             &diag,
             TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
             &mask,
-            None,
             &obs::Recorder::off(),
             &DefenseConfig::enabled(),
         );

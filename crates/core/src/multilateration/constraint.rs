@@ -72,6 +72,32 @@ impl RingConstraint {
             max_km: self.max_km + slack_km,
         }
     }
+
+    /// Snap both radii to whole grid cells of `grid`: the outer radius
+    /// rounds **up** (at least one cell), the inner radius rounds
+    /// **down** (an inner radius that floors to zero cells is dropped,
+    /// leaving a plain disk). One cell is `resolution_deg × 111.32` km,
+    /// an equatorial cell height.
+    ///
+    /// Sound: the snapped constraint contains the exact one, so a region
+    /// intersected from snapped constraints only over-covers — it never
+    /// excludes the true location. The growth is bounded by one cell of
+    /// radius on each side, below the rasterization slack the engine
+    /// already applies ([`grid_slack_km`]).
+    ///
+    /// CBG++ applies this on the fast path of its subset search
+    /// ([`FastPath::Snapped`](crate::multilateration::FastPath)). The
+    /// counting sweep and the bestline overlap filter keep exact radii.
+    pub fn snapped_to_cells(&self, grid: &GeoGrid) -> RingConstraint {
+        let cell_km = grid.resolution_deg() * 111.32;
+        let outer_cells = ((self.max_km / cell_km).ceil()).max(1.0) as u32;
+        let inner_cells = (self.min_km / cell_km).floor() as u32;
+        RingConstraint {
+            center: self.center,
+            min_km: f64::from(inner_cells) * cell_km,
+            max_km: f64::from(outer_cells) * cell_km,
+        }
+    }
 }
 
 /// The rasterization slack for a grid: slightly more than half the
@@ -222,57 +248,6 @@ pub fn intersect_constraints(constraints: &[RingConstraint], mask: &Region) -> R
     out
 }
 
-/// [`intersect_constraints`] drawing its disks from a shared
-/// [`DiskCache`](crate::multilateration::DiskCache) instead of
-/// rasterizing.
-///
-/// Radii are quantized by the cache — outer radii **up**, inner radii
-/// **down**, each by at most one grid cell — so the result covers the
-/// exact intersection (soundness preserved; precision loss bounded by
-/// the slack the grid already imposes). Use this on paths that evaluate
-/// many constraint sets over a shared constellation (the audit: proxies
-/// × landmarks × algorithms); one-off queries should prefer the exact
-/// run-based [`intersect_constraints`].
-pub fn intersect_constraints_cached(
-    constraints: &[RingConstraint],
-    mask: &Region,
-    cache: &crate::multilateration::DiskCache,
-) -> Region {
-    if constraints.is_empty() {
-        return mask.clone();
-    }
-    // Tightest disk first so the working set shrinks as fast as
-    // possible.
-    let mut order: Vec<usize> = (0..constraints.len()).collect();
-    order.sort_by(|&a, &b| {
-        constraints[a]
-            .max_km
-            .partial_cmp(&constraints[b].max_km)
-            .expect("finite radii")
-    });
-    let first = &constraints[order[0]];
-    let mut out = (*cache.disk(&first.center, first.max_km)).clone();
-    if first.min_km > 0.0 {
-        if let Some(inner) = cache.inner_disk(&first.center, first.min_km) {
-            out.subtract(&inner);
-        }
-    }
-    for &i in &order[1..] {
-        if out.is_empty() {
-            break;
-        }
-        let c = &constraints[i];
-        out.intersect_with(&cache.disk(&c.center, c.max_km));
-        if c.min_km > 0.0 {
-            if let Some(inner) = cache.inner_disk(&c.center, c.min_km) {
-                out.subtract(&inner);
-            }
-        }
-    }
-    out.intersect_with(mask);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,32 +334,40 @@ mod tests {
     }
 
     #[test]
-    fn cached_intersection_covers_the_exact_one() {
+    fn snapped_intersection_covers_the_exact_one() {
         let mask = full_mask();
-        let cache = crate::multilateration::DiskCache::new(std::sync::Arc::clone(mask.grid()));
         let cs = [
             RingConstraint::disk(GeoPoint::new(47.08, 2.40), 512.0),
             RingConstraint::disk(GeoPoint::new(52.93, 1.30), 487.0),
             RingConstraint::ring(GeoPoint::new(56.46, 10.04), 150.0, 803.0),
         ];
+        let snapped: Vec<RingConstraint> =
+            cs.iter().map(|c| c.snapped_to_cells(mask.grid())).collect();
         let exact = intersect_constraints(&cs, &mask);
-        let cached = intersect_constraints_cached(&cs, &mask, &cache);
+        let snapped = intersect_constraints(&snapped, &mask);
         assert!(!exact.is_empty());
         assert!(
-            exact.is_subset_of(&cached),
-            "quantization must only over-cover"
+            exact.is_subset_of(&snapped),
+            "snapping must only over-cover"
         );
         // Growth is bounded by one grid cell of radius per disk: the
-        // cached region sits inside the exact intersection of the
+        // snapped region sits inside the exact intersection of the
         // constraints inflated by one cell.
-        let inflated: Vec<RingConstraint> =
-            cs.iter().map(|c| c.inflated(111.33)).collect();
-        assert!(cached.is_subset_of(&intersect_constraints(&inflated, &mask)));
-        // Second evaluation is served from the memo.
-        let before = cache.stats();
-        intersect_constraints_cached(&cs, &mask, &cache);
-        let after = cache.stats();
-        assert_eq!(after.misses, before.misses);
-        assert!(after.hits > before.hits);
+        let inflated: Vec<RingConstraint> = cs.iter().map(|c| c.inflated(111.33)).collect();
+        assert!(snapped.is_subset_of(&intersect_constraints(&inflated, &mask)));
+    }
+
+    #[test]
+    fn snapping_rounds_outer_up_and_inner_down_to_whole_cells() {
+        // 2° cells are 222.64 km.
+        let grid = GeoGrid::new(2.0);
+        let c = RingConstraint::ring(GeoPoint::new(0.0, 0.0), 500.0, 600.0).snapped_to_cells(&grid);
+        assert_eq!((c.min_km, c.max_km), (2.0 * 222.64, 3.0 * 222.64));
+        // Outer at least one cell; an inner radius under one cell is dropped.
+        let thin =
+            RingConstraint::ring(GeoPoint::new(0.0, 0.0), 100.0, 150.0).snapped_to_cells(&grid);
+        assert_eq!((thin.min_km, thin.max_km), (0.0, 222.64));
+        let dot = RingConstraint::disk(GeoPoint::new(0.0, 0.0), 1.0e-9).snapped_to_cells(&grid);
+        assert_eq!(dot.max_km, 222.64);
     }
 }

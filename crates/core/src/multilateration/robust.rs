@@ -28,9 +28,9 @@
 //!   named evidence for the verdict layer, not a silent shrink.
 
 use crate::multilateration::subset::{
-    constraint_overlaps_region, max_consistent_subset_profiled, SubsetResult,
+    constraint_overlaps_region, max_consistent_subset, FastPath, SubsetResult,
 };
-use crate::multilateration::{DiskCache, RingConstraint};
+use crate::multilateration::RingConstraint;
 use geokit::Region;
 
 /// The pairwise consistency verdict over one constraint set.
@@ -165,15 +165,14 @@ impl RobustSubsetResult {
 /// surviving constraint the search still discarded.
 ///
 /// `flagged` must align with `constraints`
-/// (typically [`pairwise_infeasible_flags`]`.flagged`). With no flags
-/// this reduces to
-/// [`max_consistent_subset_profiled`] exactly — same region, same
-/// counts.
+/// (typically [`pairwise_infeasible_flags`]`.flagged`). The fast path
+/// snaps radii to whole cells, as CBG++ does ([`FastPath::Snapped`]).
+/// With no flags this reduces to [`max_consistent_subset`] exactly —
+/// same region, same counts.
 pub fn robust_max_consistent_subset(
     constraints: &[RingConstraint],
     flagged: &[bool],
     mask: &Region,
-    cache: Option<&DiskCache>,
     rec: Option<&obs::Recorder>,
 ) -> RobustSubsetResult {
     assert_eq!(constraints.len(), flagged.len(), "flag/constraint mismatch");
@@ -181,7 +180,7 @@ pub fn robust_max_consistent_subset(
     let kept: Vec<RingConstraint> = kept_idx.iter().map(|&i| constraints[i]).collect();
     let SubsetResult {
         region, satisfied, ..
-    } = max_consistent_subset_profiled(&kept, mask, cache, rec);
+    } = max_consistent_subset(&kept, mask, FastPath::Snapped, rec);
     let discarded: Vec<usize> = kept_idx
         .iter()
         .copied()
@@ -282,8 +281,8 @@ mod tests {
         let mask = Region::full(grid);
         let cs = vec![disk(50.0, 8.0, 800.0), disk(48.0, 12.0, 800.0)];
         let flags = vec![false, false];
-        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None, None);
-        let plain = max_consistent_subset_profiled(&cs, &mask, None, None);
+        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None);
+        let plain = max_consistent_subset(&cs, &mask, FastPath::Snapped, None);
         assert_eq!(robust.satisfied, plain.satisfied);
         assert_eq!(robust.excluded, 0);
         assert!(robust.discarded.is_empty());
@@ -303,7 +302,7 @@ mod tests {
         ];
         let report = pairwise_infeasible_flags(&cs);
         assert!(report.flagged[2]);
-        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, None, None);
+        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, None);
         assert_eq!(robust.excluded, 1);
         assert!(robust.region.contains_point(&GeoPoint::new(48.0, 11.0)));
         assert!(!robust.region.contains_point(&GeoPoint::new(-30.0, -20.0)));
@@ -322,7 +321,7 @@ mod tests {
             disk(-30.0, -20.0, 300.0),
         ];
         let flags = vec![false, false, false];
-        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None, None);
+        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None);
         assert_eq!(robust.satisfied, 2);
         assert_eq!(robust.excluded, 0);
         assert_eq!(robust.discarded, vec![2]);

@@ -29,35 +29,31 @@ pub struct SubsetResult {
     pub total: usize,
 }
 
+/// How the subset search's fast path intersects the full constraint set.
+/// Each algorithm picks one in code; the counting sweep is exact either
+/// way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FastPath {
+    /// Intersect the constraints as given.
+    Exact,
+    /// Intersect the constraints snapped to whole grid cells
+    /// ([`RingConstraint::snapped_to_cells`]): over-covers by at most
+    /// one cell of radius. CBG++ and the robust subset search use this.
+    Snapped,
+}
+
 /// Find the maximal consistent subset region over `mask`.
 ///
+/// `fast_path` picks how the full set is intersected when it is
+/// consistent; `rec` receives wall-clock profile spans
+/// (`subset.intersect` around the full-set intersection,
+/// `subset.counting_sweep` around the inconsistent-set sweep).
+///
 /// With no constraints, the whole mask is trivially consistent.
-pub fn max_consistent_subset(constraints: &[RingConstraint], mask: &Region) -> SubsetResult {
-    max_consistent_subset_profiled(constraints, mask, None, None)
-}
-
-/// [`max_consistent_subset`] with the fast path drawing disks from a
-/// shared [`DiskCache`](crate::multilateration::DiskCache). The
-/// counting sweep (reached only when the full set is inconsistent) stays
-/// exact and run-based — it never materializes per-disk regions, so
-/// there is nothing for it to reuse.
-pub fn max_consistent_subset_cached(
+pub fn max_consistent_subset(
     constraints: &[RingConstraint],
     mask: &Region,
-    cache: &crate::multilateration::DiskCache,
-) -> SubsetResult {
-    max_consistent_subset_profiled(constraints, mask, Some(cache), None)
-}
-
-/// The fully-parameterized subset search: optional shared disk cache for
-/// the fast-path intersection, optional recorder for wall-clock profile
-/// spans (`subset.intersect` around the full-set intersection,
-/// `subset.counting_sweep` around the inconsistent-set sweep). Both
-/// `None`s reduce to [`max_consistent_subset`] exactly.
-pub fn max_consistent_subset_profiled(
-    constraints: &[RingConstraint],
-    mask: &Region,
-    cache: Option<&crate::multilateration::DiskCache>,
+    fast_path: FastPath,
     rec: Option<&obs::Recorder>,
 ) -> SubsetResult {
     let total = constraints.len();
@@ -72,13 +68,15 @@ pub fn max_consistent_subset_profiled(
     // Fast path: all constraints already agree somewhere.
     let all = {
         let _span = rec.map(|r| r.profile_span("subset.intersect"));
-        match cache {
-            Some(cache) => crate::multilateration::constraint::intersect_constraints_cached(
-                constraints,
-                mask,
-                cache,
-            ),
-            None => intersect_constraints(constraints, mask),
+        match fast_path {
+            FastPath::Exact => intersect_constraints(constraints, mask),
+            FastPath::Snapped => {
+                let snapped: Vec<RingConstraint> = constraints
+                    .iter()
+                    .map(|c| c.snapped_to_cells(mask.grid()))
+                    .collect();
+                intersect_constraints(&snapped, mask)
+            }
         }
     };
     if !all.is_empty() {
@@ -195,7 +193,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(50.0, 5.0), 1000.0),
             RingConstraint::disk(GeoPoint::new(50.0, 10.0), 1000.0),
         ];
-        let r = max_consistent_subset(&cs, &m);
+        let r = max_consistent_subset(&cs, &m, FastPath::Exact, None);
         assert_eq!(r.satisfied, 2);
         assert!(!r.region.is_empty());
     }
@@ -210,7 +208,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(50.0, 10.0), 800.0),
             RingConstraint::disk(GeoPoint::new(-20.0, -150.0), 500.0),
         ];
-        let r = max_consistent_subset(&cs, &m);
+        let r = max_consistent_subset(&cs, &m, FastPath::Exact, None);
         assert_eq!(r.satisfied, 2);
         assert!(r.region.contains_point(&GeoPoint::new(50.0, 7.5)));
         assert!(!r.region.contains_point(&GeoPoint::new(-20.0, -150.0)));
@@ -227,7 +225,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(-30.0, 140.0), 700.0),
             RingConstraint::disk(GeoPoint::new(-30.0, 144.0), 700.0),
         ];
-        let r = max_consistent_subset(&cs, &m);
+        let r = max_consistent_subset(&cs, &m, FastPath::Exact, None);
         assert_eq!(r.satisfied, 2);
         assert!(r.region.contains_point(&GeoPoint::new(50.0, 7.0)));
         assert!(r.region.contains_point(&GeoPoint::new(-30.0, 142.0)));
@@ -236,7 +234,7 @@ mod tests {
     #[test]
     fn empty_constraints_return_mask() {
         let m = mask();
-        let r = max_consistent_subset(&[], &m);
+        let r = max_consistent_subset(&[], &m, FastPath::Exact, None);
         assert_eq!(r.satisfied, 0);
         assert_eq!(r.region.cell_count(), m.cell_count());
     }
@@ -266,7 +264,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(50.0, 8.0), 500.0),
             RingConstraint::disk(GeoPoint::new(-25.0, 135.0), 500.0),
         ];
-        let r = max_consistent_subset(&cs, &mask);
+        let r = max_consistent_subset(&cs, &mask, FastPath::Exact, None);
         assert_eq!(r.satisfied, 1);
         assert!(r.region.contains_point(&GeoPoint::new(-25.0, 135.0)));
     }

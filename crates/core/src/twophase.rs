@@ -597,7 +597,7 @@ mod tests {
     use geokit::GeoGrid;
     use netsim::{FilterPolicy, WorldNet, WorldNetConfig};
     use simrng::SeedableRng;
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
     use worldmap::WorldAtlas;
 
     struct Fixture {
@@ -606,7 +606,9 @@ mod tests {
         calibration: CalibrationDb,
     }
 
-    fn fixture() -> &'static Mutex<Fixture> {
+    /// The shared world, locked (tests probe it mutably). A panicking
+    /// test must not poison it for the rest of the suite.
+    fn fixture() -> MutexGuard<'static, Fixture> {
         static S: OnceLock<Mutex<Fixture>> = OnceLock::new();
         S.get_or_init(|| {
             let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
@@ -620,11 +622,13 @@ mod tests {
                 calibration,
             })
         })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
     fn continent_guess_is_correct_for_european_host() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -653,7 +657,7 @@ mod tests {
 
     #[test]
     fn continent_guess_is_correct_for_american_host() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -677,7 +681,7 @@ mod tests {
 
     #[test]
     fn observations_are_one_way_times() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -703,7 +707,7 @@ mod tests {
 
     #[test]
     fn refinement_never_grows_the_final_region_much() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -755,7 +759,7 @@ mod tests {
 
     #[test]
     fn dark_phase1_is_unmeasurable_with_diagnostics() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -790,7 +794,7 @@ mod tests {
 
     #[test]
     fn missed_phase1_quorum_degrades_to_all_continent_sweep() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -853,7 +857,7 @@ mod tests {
 
     #[test]
     fn thin_phase2_is_flagged_insufficient_not_silently_ok() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,
@@ -974,7 +978,7 @@ mod tests {
 
     #[test]
     fn unreachable_target_returns_none() {
-        let mut f = fixture().lock().unwrap();
+        let mut f = fixture();
         let Fixture {
             world,
             constellation,

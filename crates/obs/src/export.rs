@@ -844,7 +844,7 @@ mod tests {
         rec.count("net.probe.sent", 7);
         rec.count("net.probe.timeout", 2);
         rec.record("net.probe.rtt_us", 1500);
-        rec.wall_count("cache.disk.hits", 3);
+        rec.wall_count("audit.threads", 3);
         let set = recorder_metrics(&rec).expect("all names registered");
         assert_eq!(set.value("pv_probe_total", &[("outcome", "sent")]), Some(7.0));
         assert_eq!(
@@ -856,10 +856,7 @@ mod tests {
             set.value("pv_probe_total", &[("outcome", "completed")]),
             Some(0.0)
         );
-        assert_eq!(
-            set.value("pv_cache_lookup_total", &[("result", "hit")]),
-            Some(3.0)
-        );
+        assert_eq!(set.value("pv_audit_threads", &[]), Some(3.0));
         assert!(set.hist("pv_probe_rtt_microseconds", &[]).is_some());
         assert!(set.lint_against_registry().is_empty());
 
@@ -873,12 +870,12 @@ mod tests {
     fn deterministic_subset_excludes_wall_families() {
         let rec = Recorder::new(Level::Counters);
         rec.count("net.probe.sent", 1);
-        rec.wall_count("cache.disk.hits", 1);
+        rec.wall_count("audit.threads", 1);
         drop(rec.span("w"));
         let set = recorder_metrics(&rec).unwrap();
         let det = set.render_filtered(deterministic_family);
         assert!(det.contains("pv_probe_total"));
-        assert!(!det.contains("pv_cache_lookup_total"), "wall family leaked:\n{det}");
+        assert!(!det.contains("pv_audit_threads"), "wall family leaked:\n{det}");
         assert!(!det.contains("pv_wall_span"), "span family leaked:\n{det}");
         assert!(parse_exposition(&det).is_ok(), "subset must still parse");
     }

@@ -20,10 +20,8 @@
 //!   both of which CI byte-diffs across `PV_THREADS` values.
 //! * **Wall-clock** — [`Span`] timings (`std::time::Instant`) and
 //!   run-machinery tallies ([`Recorder::wall_count`], e.g. the worker
-//!   count or a shared cache's hit/miss split). These are performance
-//!   telemetry, rendered in their own section; span timings are never
-//!   included in determinism diffs (exact tallies may be, at the
-//!   consumer's discretion — the fill-once disk cache's counters are).
+//!   count). These are performance telemetry, rendered in their own
+//!   section; span timings are never included in determinism diffs.
 //!
 //! ## Hierarchical profiling
 //!
@@ -387,7 +385,7 @@ struct Buffers {
 
 /// One open profile span on the current thread's stack. The frame keeps
 /// its own sink: nested spans may come from *different* recorders (a
-/// shared cache's recorder under a worker's forked recorder), and each
+/// shared component's recorder under a worker's forked recorder), and each
 /// frame's timing must land in the recorder that opened it.
 struct ProfFrame {
     token: u64,
@@ -648,8 +646,8 @@ impl Recorder {
     }
 
     /// Add `n` to the wall-side counter `name` — telemetry about the
-    /// run's machinery (worker count, shared-cache hit/miss split)
-    /// rather than the study's findings.
+    /// run's machinery (worker and shard counts) rather than the
+    /// study's findings.
     pub fn wall_count(&self, name: &'static str, n: u64) {
         if self.level == Level::Off {
             return;
@@ -1211,21 +1209,22 @@ mod tests {
 
     #[test]
     fn profile_spans_from_different_recorders_nest_by_thread() {
-        // The shared-cache case: a worker's forked recorder opens the
-        // enclosing span, the cache's own recorder opens the inner one.
+        // A shared component's recorder nested under a worker's forked
+        // recorder: the worker opens the enclosing span, the component's
+        // own recorder opens the inner one.
         // Each frame lands in its own recorder, under the thread's path.
         let worker = Recorder::new(Level::Counters);
-        let cache = Recorder::new(Level::Counters);
+        let shared = Recorder::new(Level::Counters);
         {
             let _outer = worker.profile_span("audit.proxy");
-            let _inner = cache.profile_span("cache.lookup");
+            let _inner = shared.profile_span("shared.step");
         }
         assert_eq!(worker.profile_stat("audit.proxy").unwrap().count, 1);
         assert_eq!(
-            cache.profile_stat("audit.proxy/cache.lookup").unwrap().count,
+            shared.profile_stat("audit.proxy/shared.step").unwrap().count,
             1
         );
-        assert!(worker.profile_stat("audit.proxy/cache.lookup").is_none());
+        assert!(worker.profile_stat("audit.proxy/shared.step").is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Families are split into two compartments. `Deterministic` families
 //! derive purely from the simulation (CI byte-diffs their rendered
 //! exposition across `PV_THREADS`); `Wall` families carry run-machinery
-//! telemetry (timings, thread counts, cache luck) that legitimately
+//! telemetry (timings, thread and shard counts) that legitimately
 //! varies run to run.
 
 use crate::export::{lint_metric_name, MetricKind};
@@ -224,30 +224,6 @@ pub const HISTS: &[MetricDef] = &[
 /// Wall-side counters: every `Recorder::wall_count` name.
 pub const WALL_COUNTERS: &[MetricDef] = &[
     MetricDef {
-        raw: "cache.disk.hits",
-        family: "pv_cache_lookup_total",
-        labels: &[("result", "hit")],
-        kind: MetricKind::Counter,
-        compartment: Compartment::Wall,
-        help: CACHE_HELP,
-    },
-    MetricDef {
-        raw: "cache.disk.misses",
-        family: "pv_cache_lookup_total",
-        labels: &[("result", "miss")],
-        kind: MetricKind::Counter,
-        compartment: Compartment::Wall,
-        help: CACHE_HELP,
-    },
-    MetricDef {
-        raw: "cache.disk.entries",
-        family: "pv_cache_entries",
-        labels: &[],
-        kind: MetricKind::Gauge,
-        compartment: Compartment::Wall,
-        help: "Entries resident in the fill-once disk cache.",
-    },
-    MetricDef {
         raw: "audit.threads",
         family: "pv_audit_threads",
         labels: &[],
@@ -285,8 +261,6 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Probes a shard has sent so far."),
     dyn_def("pv_shard_retries", MetricKind::Gauge, &["shard"], Compartment::Wall,
         "Probe retries a shard has scheduled so far."),
-    dyn_def("pv_shard_cache_hit_ratio", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Hit ratio of a shard's disk-cache lookups."),
     dyn_def("pv_progress_proxies_done", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Proxies audited, global deterministic order."),
     dyn_def("pv_progress_proxies_total", MetricKind::Gauge, &[], Compartment::Deterministic,
@@ -314,7 +288,6 @@ const PHASE1_HELP: &str = "Phase-1 landmark probing tallies by state.";
 const DEFENSE_HELP: &str = "Byzantine-defense pipeline events by kind.";
 const GEO_HELP: &str = "Geolocation algorithm fallbacks by kind.";
 const AUDIT_HELP: &str = "Audited proxies by measurement outcome.";
-const CACHE_HELP: &str = "Fill-once disk cache lookups by result.";
 
 const fn def(
     raw: &'static str,
@@ -572,8 +545,8 @@ mod tests {
         assert_eq!(probe.kind, MetricKind::Counter);
         assert_eq!(probe.label_keys, ["outcome"]);
         assert_eq!(probe.compartment, Compartment::Deterministic);
-        let cache = family("pv_cache_lookup_total").unwrap();
-        assert_eq!(cache.compartment, Compartment::Wall);
+        let threads = family("pv_audit_threads").unwrap();
+        assert_eq!(threads.compartment, Compartment::Wall);
         let spans = family("pv_span_seconds_total").unwrap();
         assert_eq!(spans.label_keys, ["path"]);
         assert!(family("pv_never_registered").is_none());

@@ -14,9 +14,9 @@
 //!   combination, and CI diffs the JSONL rendering
 //!   ([`ProgressSnapshot::deterministic_jsonl`]) exactly like the event
 //!   trace;
-//! * the **wall** fields ([`WallProgress`]: elapsed, ETA, cache hit
-//!   ratio) are genuine operational telemetry and never appear in the
-//!   deterministic rendering.
+//! * the **wall** fields ([`WallProgress`]: elapsed, ETA) are genuine
+//!   operational telemetry and never appear in the deterministic
+//!   rendering.
 //!
 //! Two sinks ship in-tree: [`JsonlSink`] (line-per-snapshot, the thing
 //! `figures ops` writes to disk) and [`RingSink`] (bounded in-memory
@@ -90,8 +90,6 @@ pub struct WallProgress {
     pub elapsed_ms: u64,
     /// Estimated wall milliseconds remaining (`elapsed/done × left`).
     pub eta_ms: u64,
-    /// Disk-cache hit ratio so far (0 when no lookups yet).
-    pub cache_hit_ratio: f64,
 }
 
 impl ProgressSnapshot {
@@ -134,8 +132,8 @@ impl ProgressSnapshot {
         debug_assert_eq!(tail, (Some('\n'), Some('}')));
         let _ = writeln!(
             line,
-            ",\"wall\":{{\"elapsed_ms\":{},\"eta_ms\":{},\"cache_hit_ratio\":{}}}}}",
-            self.wall.elapsed_ms, self.wall.eta_ms, self.wall.cache_hit_ratio
+            ",\"wall\":{{\"elapsed_ms\":{},\"eta_ms\":{}}}}}",
+            self.wall.elapsed_ms, self.wall.eta_ms
         );
         line
     }
@@ -359,7 +357,6 @@ mod tests {
         s.wall = WallProgress {
             elapsed_ms: 120,
             eta_ms: 0,
-            cache_hit_ratio: 0.5,
         };
         let det = s.deterministic_jsonl();
         let full = s.full_jsonl();

@@ -11,7 +11,6 @@ use geoloc::assess::{assess_claim, Assessment, ClaimVerdict, ContinentVerdict};
 use geoloc::defense::{run_defense, DefenseReport, TunnelPings};
 use geoloc::disambiguate::{by_data_centers, by_touched_sets, Disambiguation};
 use geoloc::iclab::{IclabChecker, IclabVerdict};
-use geoloc::multilateration::{DiskCache, DiskCacheStats};
 use geoloc::proxy::{estimate_eta, EtaEstimate, ProxyContext, DEFAULT_ETA};
 use geoloc::reliability::{MeasurementDiagnostics, ProbeScheduler};
 use geoloc::observation::Observation;
@@ -128,8 +127,6 @@ pub struct StudyResults {
     /// merged in proxy order (deterministic for any thread count), plus
     /// the wall-clock compartment (timing spans and run-shape tallies
     /// like the thread count) that must never enter a determinism diff.
-    /// The disk-cache hit/miss split also lives there for reporting, but
-    /// since the fill-once cache it is exact and thread-invariant.
     pub obs: Recorder,
     /// Worker count the audit actually ran with.
     pub threads: usize,
@@ -150,6 +147,15 @@ pub struct StudyResults {
     pub shard_progress: Vec<ShardProgress>,
 }
 
+/// The shape [`StudyResults::cache_stats`] returns: always zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+}
+
 /// Final per-shard progress gauges, captured at merge time. Everything
 /// here is wall-compartment telemetry: shard boundaries are a run-shape
 /// choice, so per-shard numbers must never enter a determinism diff.
@@ -163,8 +169,6 @@ pub struct ShardProgress {
     pub probes_sent: u64,
     /// Retries the shard's reliability layer scheduled.
     pub retries: u64,
-    /// Hit ratio of the shard's private fill-once disk cache.
-    pub cache_hit_ratio: f64,
     /// Fraction of the shard's range finished (1.0 after a completed
     /// run; the field exists so a live sink sees the same shape).
     pub progress_ratio: f64,
@@ -235,16 +239,14 @@ impl Study {
     /// (1-shard, 1-thread) run. The master shards the proxy universe by
     /// pure `(seed, shard_id, shard_count)` arithmetic
     /// ([`plan_shards`]); each shard worker gets its own
-    /// [`Network::fork`] lineage, a [`Recorder`] forked from the
-    /// master's, its own disk cache, and measures its contiguous slice
-    /// of proxies; [`StudyResults::merge`] reassembles shard outputs in
-    /// shard order. The per-proxy argument is unchanged from the thread
+    /// [`Network::fork`] lineage and a [`Recorder`] forked from the
+    /// master's, and measures its contiguous slice of proxies;
+    /// [`StudyResults::merge`] concatenates shard outputs in shard
+    /// order. The per-proxy argument is unchanged from the thread
     /// pool's: every stochastic input derives from
-    /// `(config.seed, proxy.node)` alone, a fork-of-a-fork that probes
-    /// nothing in between is indistinguishable from a fork of the
-    /// parent, and the fill-once cache's counters are reconstructed
-    /// exactly from per-shard key sets (see
-    /// [`merge`](StudyResults::merge)).
+    /// `(config.seed, proxy.node)` alone, and a fork-of-a-fork that
+    /// probes nothing in between is indistinguishable from a fork of the
+    /// parent.
     pub fn run_sharded(&mut self, shard_count: usize, threads: usize) -> StudyResults {
         let (master, shards) = self.run_shards(shard_count, threads);
         StudyResults::merge(master, shards)
@@ -419,9 +421,8 @@ pub struct ShardMaster {
 }
 
 /// One shard's complete, mergeable output: its records and failures in
-/// proxy order, its recorder (per-proxy traces already absorbed in
-/// proxy order), and enough cache accounting to reconstruct the shared
-/// cache's exact counters at merge time.
+/// proxy order and its recorder (per-proxy traces already absorbed in
+/// proxy order).
 pub struct ShardResults {
     /// The plan entry this shard executed.
     pub spec: ShardSpec,
@@ -436,12 +437,6 @@ pub struct ShardResults {
     /// each proxy's trace folded into the shard recorder. Concatenated
     /// in range order at merge time, these drive the snapshot stream.
     pub proxy_stats: Vec<ProxyStat>,
-    /// Total disk-cache lookups (hits + misses) this shard issued.
-    pub cache_lookups: u64,
-    /// Sorted distinct cache keys this shard rasterized
-    /// ([`DiskCache::export_keys`]); the union across shards reconstructs
-    /// the monolithic cache's entry count.
-    pub cache_keys: Vec<(u64, u64, u32)>,
 }
 
 /// Read-only master state a shard worker measures against.
@@ -476,16 +471,6 @@ fn run_shard(
     // shard ran inline on the coordinator or on an outer worker thread.
     let shard_span = shard_rec.profile_span_root("audit.shard");
     let shard_net = master.network.fork(spec.net_seed);
-    // Each shard fills its own cache: lookups profile into the shard
-    // recorder, and the exact counters a *shared* cache would have
-    // reported are reconstructed at merge time from the per-shard key
-    // sets (a cached region is bitwise the fresh rasterization, so the
-    // per-proxy lookup sequence is cache-state-independent).
-    let cache = {
-        let mut cache = DiskCache::new(Arc::clone(master.mask.grid()));
-        cache.set_recorder(shard_rec.clone());
-        Arc::new(cache)
-    };
     let ctx = AuditCtx {
         network: &shard_net,
         client: master.client,
@@ -495,7 +480,6 @@ fn run_shard(
         atlas: master.atlas,
         mask: master.mask,
         registry: master.registry,
-        cache: &cache,
         obs: &shard_rec,
     };
     let outcomes = parallel::map_indexed(inner_threads, proxies, |_, proxy| {
@@ -522,7 +506,6 @@ fn run_shard(
         }
     }
     drop(absorb_span);
-    let stats = cache.stats();
     drop(shard_span);
     ShardResults {
         spec,
@@ -530,8 +513,6 @@ fn run_shard(
         failures,
         trace: shard_rec,
         proxy_stats,
-        cache_lookups: stats.hits + stats.misses,
-        cache_keys: cache.export_keys(),
     }
 }
 
@@ -578,18 +559,8 @@ impl StudyResults {
     ///   monolithic collector would have, and merges counters and
     ///   histograms additively (both are commutative over disjoint
     ///   proxy sets, but the event stream is not — hence the sort).
-    /// * **Cache counters stay exact.** Each shard ran a private
-    ///   fill-once cache, so a key rasterized by two shards was counted
-    ///   as a miss twice — once per shard — where a shared cache would
-    ///   have counted one miss and one hit. The reconstruction uses the
-    ///   sorted per-shard key sets ([`DiskCache::export_keys`]): the
-    ///   union's size is what a shared cache's `entries` (and, fill-once,
-    ///   its `misses`) would have been, and every remaining lookup is a
-    ///   hit. Lookup *sequences* are cache-state-independent (a cached
-    ///   region is bitwise the fresh rasterization), so summed per-shard
-    ///   lookups equal the monolithic lookup count.
     /// * **Empty shards are neutral.** An empty range contributes no
-    ///   records, no failures, no events, no keys — merging it in is a
+    ///   records, no failures, no events — merging it in is a
     ///   no-op, which is what makes `shard_count > proxies` legal.
     ///
     /// Co-location group disambiguation (Fig. 16) runs here, after the
@@ -606,8 +577,6 @@ impl StudyResults {
         let mut failures: Vec<UnmeasuredProxy> = Vec::new();
         let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(total);
         let mut shard_progress: Vec<ShardProgress> = Vec::with_capacity(shards.len());
-        let mut lookups = 0u64;
-        let mut keys: Vec<(u64, u64, u32)> = Vec::new();
         for shard in shards {
             recorder.absorb(&shard.trace);
             shard_progress.push(ShardProgress {
@@ -615,34 +584,17 @@ impl StudyResults {
                 proxies_done: shard.proxy_stats.len() as u64,
                 probes_sent: shard.proxy_stats.iter().map(|s| s.probes_sent).sum(),
                 retries: shard.proxy_stats.iter().map(|s| s.retries).sum(),
-                cache_hit_ratio: if shard.cache_lookups == 0 {
-                    0.0
-                } else {
-                    shard.cache_lookups.saturating_sub(shard.cache_keys.len() as u64) as f64
-                        / shard.cache_lookups as f64
-                },
                 progress_ratio: 1.0,
             });
             records.extend(shard.records);
             failures.extend(shard.failures);
             proxy_stats.extend(shard.proxy_stats);
-            lookups += shard.cache_lookups;
-            keys.extend(shard.cache_keys);
         }
-        keys.sort_unstable();
-        keys.dedup();
 
         // Co-location group disambiguation (Fig. 16): within a group, the
         // true country must be common to every member's touched set.
         apply_group_disambiguation(&mut records);
 
-        // Reconstructed shared-cache counters: exact for any shard and
-        // thread count (misses == entries under fill-once). Wall-side,
-        // like the monolithic path, but legitimate to diff.
-        let entries = keys.len() as u64;
-        recorder.wall_count("cache.disk.hits", lookups.saturating_sub(entries));
-        recorder.wall_count("cache.disk.misses", entries);
-        recorder.wall_count("cache.disk.entries", entries);
         recorder.wall_count("audit.threads", master.threads.max(1) as u64);
         recorder.wall_count("audit.shards", shard_count as u64);
 
@@ -651,16 +603,10 @@ impl StudyResults {
         // deterministic compartment of every snapshot is a pure function
         // of (seed, snapshot_every). Wall fields are back-filled from
         // the run's own telemetry — total elapsed pro-rated over the
-        // stream, the reconstructed shared-cache hit ratio — and never
-        // rendered into a determinism diff.
+        // stream — and never rendered into a determinism diff.
         let elapsed_ms = recorder
             .profile_stat("audit.run")
             .map_or(0, |s| (s.cum_ns / 1_000_000) as u64);
-        let hit_ratio = if lookups == 0 {
-            0.0
-        } else {
-            lookups.saturating_sub(entries) as f64 / lookups as f64
-        };
         let mut builder = SnapshotBuilder::new(proxy_stats.len() as u64, master.snapshot_every);
         let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
         for stat in &proxy_stats {
@@ -669,7 +615,6 @@ impl StudyResults {
                 snap.wall = WallProgress {
                     elapsed_ms: done_ms,
                     eta_ms: elapsed_ms.saturating_sub(done_ms),
-                    cache_hit_ratio: hit_ratio,
                 };
                 for sink in &mut master.sinks {
                     sink.emit(&snap);
@@ -708,7 +653,6 @@ struct AuditCtx<'a> {
     atlas: &'a Arc<WorldAtlas>,
     mask: &'a Region,
     registry: &'a DataCenterRegistry,
-    cache: &'a Arc<DiskCache>,
     obs: &'a Recorder,
 }
 
@@ -739,7 +683,6 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
         atlas,
         mask,
         registry,
-        cache,
         ..
     } = *ctx;
     let reliability = &config.reliability;
@@ -855,7 +798,7 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
 
     let locate_span = rec.profile_span("audit.locate");
     let prediction =
-        CbgPlusPlus.locate_traced(&two_phase.observations, mask, Some(cache), &rec);
+        CbgPlusPlus.locate_traced(&two_phase.observations, mask, &rec);
     drop(locate_span);
     let assess_span = rec.profile_span("audit.assess");
     let verdict = assess_claim(atlas, &prediction.region, proxy.claimed);
@@ -951,7 +894,6 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
                 eta,
             },
             mask,
-            Some(cache),
             &rec,
             &config.defense,
         );
@@ -965,7 +907,7 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
                 .filter(|(i, _)| !report.flagged.contains(i))
                 .map(|(_, o)| o.clone())
                 .collect();
-            let robust = CbgPlusPlus.locate_traced(&kept, mask, Some(cache), &rec);
+            let robust = CbgPlusPlus.locate_traced(&kept, mask, &rec);
             refined = assess_claim(atlas, &robust.region, proxy.claimed);
             if refined.assessment == Assessment::Uncertain {
                 if let Disambiguation::Resolved(c) = by_data_centers(registry, &robust.region) {
@@ -1175,16 +1117,13 @@ impl StudyResults {
         }
     }
 
-    /// Landmark disk-cache telemetry, read back from the recorder's
-    /// wall-clock compartment. The fill-once cache makes the split
-    /// exact: `misses == entries` and `hits + misses` equals the lookup
-    /// count, for any worker count.
-    pub fn cache_stats(&self) -> DiskCacheStats {
-        DiskCacheStats {
-            hits: self.obs.wall_counter("cache.disk.hits"),
-            misses: self.obs.wall_counter("cache.disk.misses"),
-            entries: self.obs.wall_counter("cache.disk.entries") as usize,
-        }
+    /// Always zero: the audit has no disk cache. A stub kept only
+    /// because the `perfbench/` benchmark still reads it; the
+    /// follow-up benchmark change that retires the `geoloc.raster_s`,
+    /// `geoloc.cache_lookup_s` and `geoloc.cache_hit_ratio` layers
+    /// removes it.
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
     }
 
     /// The study's full event trace as JSON Lines, one event per line,
@@ -1269,20 +1208,25 @@ impl StudyResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-    fn results() -> &'static Mutex<(Study, StudyResults)> {
+    /// The shared small study. `Study` is not `Sync` (its progress sinks
+    /// are only `Send`), so the fixture sits behind a mutex; a panicking
+    /// test must not poison it for the rest of the suite.
+    fn results() -> MutexGuard<'static, (Study, StudyResults)> {
         static S: OnceLock<Mutex<(Study, StudyResults)>> = OnceLock::new();
         S.get_or_init(|| {
             let mut study = Study::build(StudyConfig::small(41));
             let results = study.run();
             Mutex::new((study, results))
         })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
     fn nearly_all_proxies_are_measured() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         assert!(
             res.records.len() + res.unmeasured == study.providers.proxies.len()
@@ -1297,7 +1241,7 @@ mod tests {
 
     #[test]
     fn reliability_summary_accounts_for_every_proxy() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         let s = res.reliability_summary();
         assert_eq!(
@@ -1320,35 +1264,11 @@ mod tests {
     }
 
     #[test]
-    fn disk_cache_is_actually_shared_across_proxies() {
-        let g = results().lock().unwrap();
-        let (study, res) = &*g;
-        assert!(res.threads >= 1);
-        // Every measured proxy queries disks for the same constellation,
-        // so once the fleet is larger than a handful the cache must be
-        // doing real work.
-        let cache = res.cache_stats();
-        assert!(
-            cache.hits > 0,
-            "cache never reused an entry: {} hits / {} misses over {} proxies",
-            cache.hits,
-            cache.misses,
-            study.providers.proxies.len()
-        );
-        // Fill-once: each distinct key is rasterized by exactly one
-        // worker, so the miss count *is* the entry count.
-        assert_eq!(cache.entries as u64, cache.misses);
-        let rendered = crate::report::render_perf_telemetry(res);
-        assert!(rendered.contains("disk cache"));
-        assert!(rendered.contains("threads"));
-    }
-
-    #[test]
     fn recorder_ledger_agrees_with_reliability_recount() {
         // The audit.* counters are emitted at measurement time; the
         // summary is recounted from the records afterwards. They must
         // tell the same story or a layer is lying.
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         let s = res.reliability_summary();
         assert_eq!(res.obs.counter("audit.measured") as usize, s.measured);
@@ -1376,7 +1296,7 @@ mod tests {
 
     #[test]
     fn trace_has_one_start_and_done_per_proxy_in_proxy_order() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         let n = study.providers.proxies.len();
         res.obs.with_events(|evs| {
@@ -1411,7 +1331,7 @@ mod tests {
 
     #[test]
     fn snapshot_stream_covers_every_proxy() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         let n = study.providers.proxies.len() as u64;
         let every = study.config.snapshot_every.max(1) as u64;
@@ -1482,7 +1402,7 @@ mod tests {
 
     #[test]
     fn profile_tree_covers_the_audit_stages() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         let n = study.providers.proxies.len();
         // Coordinator roots.
@@ -1518,19 +1438,12 @@ mod tests {
             .profile_stat("audit.proxy/twophase.phase1/rel.probe/net.probe")
             .expect("simulator probe span");
         assert!(net_probe.count >= rel_probe.count);
-        // Disk intersections under the locate stage, reaching the cache.
+        // Disk intersections under the locate stage.
         let intersect = res
             .obs
             .profile_stat("audit.proxy/audit.locate/cbgpp.baseline/subset.intersect")
             .expect("baseline intersection span");
         assert!(intersect.count >= measured);
-        let lookup = res
-            .obs
-            .profile_stat(
-                "audit.proxy/audit.locate/cbgpp.baseline/subset.intersect/cache.lookup",
-            )
-            .expect("disk cache lookup span");
-        assert!(lookup.count > 0);
         // Self time never exceeds cumulative anywhere in the tree.
         for (path, stat) in res.obs.profile() {
             assert!(stat.self_ns <= stat.cum_ns, "self > cum at {path}");
@@ -1565,7 +1478,7 @@ mod tests {
 
     #[test]
     fn eta_is_estimated_near_half() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (_, res) = &*g;
         if let Some(eta) = res.eta {
             assert!(
@@ -1581,7 +1494,7 @@ mod tests {
     fn predictions_cover_the_true_country_mostly() {
         // CBG++'s design goal: be certain the proxy is where we say it
         // is. At small scale a few borderline regions are tolerable.
-        let g = results().lock().unwrap();
+        let g = results();
         let (_, res) = &*g;
         let cov = res.coverage_of_truth();
         assert!(cov >= 0.8, "true-country coverage {cov}");
@@ -1591,7 +1504,7 @@ mod tests {
     fn verdict_mix_is_paper_shaped() {
         // The headline: a sizeable fraction of claims false, a sizeable
         // fraction credible/uncertain.
-        let g = results().lock().unwrap();
+        let g = results();
         let (_, res) = &*g;
         let (credible, uncertain, false_) = res.counts(true);
         let total = credible + uncertain + false_;
@@ -1611,7 +1524,7 @@ mod tests {
         // Precision check against ground truth: when the pipeline says
         // "false", the provider claim should indeed be wrong nearly
         // always (the paper's priority: never wrongly accuse).
-        let g = results().lock().unwrap();
+        let g = results();
         let (_, res) = &*g;
         let (mut right, mut total) = (0usize, 0usize);
         for r in &res.records {
@@ -1630,7 +1543,7 @@ mod tests {
 
     #[test]
     fn refinement_only_resolves_uncertainty() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (_, res) = &*g;
         for r in &res.records {
             if r.verdict.assessment != Assessment::Uncertain {
@@ -1644,7 +1557,7 @@ mod tests {
 
     #[test]
     fn fig17_categories_partition_records() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (_, res) = &*g;
         let cats = res.fig17_categories();
         assert_eq!(cats.iter().sum::<usize>(), res.records.len());
@@ -1652,7 +1565,7 @@ mod tests {
 
     #[test]
     fn agreement_rates_are_probabilities() {
-        let g = results().lock().unwrap();
+        let g = results();
         let (study, res) = &*g;
         for p in 0..study.providers.profiles.len() {
             let strict = res.cbgpp_agreement(p, false);
@@ -1701,7 +1614,7 @@ mod tests {
         assert_eq!(res.counts(false), (0, 0, 0));
         assert_eq!(res.counts(true), (0, 0, 0));
         assert_eq!(res.fig17_categories(), [0; 6]);
-        assert_eq!(res.cache_stats(), geoloc::multilateration::DiskCacheStats::default());
+        assert_eq!(res.cache_stats(), CacheStats::default());
         // Rendering must cope: no division by zero, no panic.
         let rendered = crate::report::render_reliability(&res);
         assert!(rendered.contains("0 total"));

@@ -114,9 +114,11 @@ mod tests {
     use crate::audit::Study;
     use crate::config::StudyConfig;
     use geoloc::proxy::ProxyContext;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-    fn study() -> &'static Mutex<Study> {
+    /// The shared study, locked (tests probe it mutably). A panicking
+    /// test must not poison it for the rest of the suite.
+    fn study() -> MutexGuard<'static, Study> {
         static S: OnceLock<Mutex<Study>> = OnceLock::new();
         S.get_or_init(|| {
             Mutex::new(Study::build(StudyConfig {
@@ -124,11 +126,13 @@ mod tests {
                 ..StudyConfig::small(321)
             }))
         })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
     fn detects_true_datacenter_groups() {
-        let mut s = study().lock().unwrap();
+        let mut s = study();
         let client = s.client;
         let proxies = s.providers.proxies.clone();
         let mut self_pings = Vec::with_capacity(proxies.len());
@@ -189,7 +193,7 @@ mod tests {
         // Different providers renting space in the same hub city end up
         // in the same detected group — "including proxies claimed to be
         // in separate countries" (§8.1).
-        let mut s = study().lock().unwrap();
+        let mut s = study();
         let client = s.client;
         let proxies = s.providers.proxies.clone();
         let mut self_pings = Vec::with_capacity(proxies.len());

@@ -138,7 +138,7 @@ mod tests {
     use atlas::{CalibrationDb, Constellation, ConstellationConfig};
     use geokit::GeoGrid;
     use netsim::WorldNetConfig;
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Arc, OnceLock};
     use worldmap::WorldAtlas;
 
     struct Fixture {
@@ -149,8 +149,8 @@ mod tests {
         records: Vec<CrowdRecord>,
     }
 
-    fn fixture() -> &'static Mutex<Fixture> {
-        static S: OnceLock<Mutex<Fixture>> = OnceLock::new();
+    fn fixture() -> &'static Fixture {
+        static S: OnceLock<Fixture> = OnceLock::new();
         S.get_or_init(|| {
             let config = StudyConfig::small(7);
             let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(
@@ -176,19 +176,19 @@ mod tests {
                 let server = LandmarkServer::new(&constellation, &calibration, &atlas);
                 measure_crowd(&mut world, &server, &hosts, &config)
             };
-            Mutex::new(Fixture {
+            Fixture {
                 world,
                 constellation,
                 calibration,
                 hosts,
                 records,
-            })
+            }
         })
     }
 
     #[test]
     fn cohort_size_and_split() {
-        let f = fixture().lock().unwrap();
+        let f = fixture();
         assert_eq!(f.hosts.len(), 20);
         assert_eq!(f.hosts.iter().filter(|h| h.is_volunteer).count(), 6);
         let _ = (&f.constellation, &f.calibration);
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn most_hosts_get_measured() {
-        let f = fixture().lock().unwrap();
+        let f = fixture();
         assert!(
             f.records.len() >= f.hosts.len() * 8 / 10,
             "only {} of {} measured",
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn windows_dominates_workers() {
-        let f = fixture().lock().unwrap();
+        let f = fixture();
         let workers: Vec<_> = f.hosts.iter().filter(|h| !h.is_volunteer).collect();
         let windows = workers
             .iter()
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn continent_guesses_are_mostly_right() {
-        let f = fixture().lock().unwrap();
+        let f = fixture();
         let atlas = f.world.atlas();
         let right = f
             .records

@@ -129,7 +129,6 @@ pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
         gauge(&mut set, "pv_shard_proxies_done", &shard, sp.proxies_done as f64);
         gauge(&mut set, "pv_shard_probes_sent", &shard, sp.probes_sent as f64);
         gauge(&mut set, "pv_shard_retries", &shard, sp.retries as f64);
-        gauge(&mut set, "pv_shard_cache_hit_ratio", &shard, sp.cache_hit_ratio);
     }
     if let Some(last) = results.snapshots.last() {
         gauge(&mut set, "pv_audit_elapsed_ms", &[], last.wall.elapsed_ms as f64);

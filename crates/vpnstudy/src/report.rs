@@ -171,25 +171,13 @@ pub fn render_reliability(results: &StudyResults) -> String {
     out
 }
 
-/// Performance telemetry: worker count, landmark disk-cache
-/// effectiveness, and the recorder's wall-clock compartment (span
-/// timings). **Not deterministic across thread counts** — under more
-/// than one worker, two threads can race to rasterize the same disk,
-/// shifting the hit/miss split, and wall timings depend on the machine —
-/// so the CI determinism gate must never include this block in the
-/// bytes it diffs.
+/// Performance telemetry: worker count and the recorder's wall-clock
+/// compartment (span timings). **Not deterministic** — wall timings
+/// depend on the machine — so the CI determinism gate must never
+/// include this block in the bytes it diffs.
 pub fn render_perf_telemetry(results: &StudyResults) -> String {
     let mut out = String::new();
-    let c = results.cache_stats();
     let _ = writeln!(out, "threads: {}", results.threads);
-    let _ = writeln!(
-        out,
-        "disk cache: {} hits / {} misses ({:.1} % hit rate), {} cached disks",
-        c.hits,
-        c.misses,
-        c.hit_rate() * 100.0,
-        c.entries
-    );
     let wall = results.obs.render_wall();
     if !wall.is_empty() {
         let _ = write!(out, "{wall}");
@@ -199,7 +187,7 @@ pub fn render_perf_telemetry(results: &StudyResults) -> String {
 
 /// The hierarchical span profile of the run: an indented tree of every
 /// profiled stage (phase-1/phase-2 probing, retries, disk intersection,
-/// cache lookups, report rendering) with per-path call counts and
+/// report rendering) with per-path call counts and
 /// self/cumulative wall time. The timings are **wall-clock telemetry**
 /// — never part of determinism diffs.
 pub fn render_profile(results: &StudyResults) -> String {
@@ -398,18 +386,14 @@ pub fn render_ops(
     if !results.shard_progress.is_empty() {
         let _ = writeln!(
             out,
-            "{:<8}{:>8}{:>10}{:>9}{:>11}",
-            "shard", "done", "probes", "retries", "cache-hit"
+            "{:<8}{:>8}{:>10}{:>9}",
+            "shard", "done", "probes", "retries"
         );
         for sp in &results.shard_progress {
             let _ = writeln!(
                 out,
-                "{:<8}{:>8}{:>10}{:>9}{:>10.1}%",
-                sp.shard_id,
-                sp.proxies_done,
-                sp.probes_sent,
-                sp.retries,
-                sp.cache_hit_ratio * 100.0
+                "{:<8}{:>8}{:>10}{:>9}",
+                sp.shard_id, sp.proxies_done, sp.probes_sent, sp.retries
             );
         }
     }

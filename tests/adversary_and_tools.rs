@@ -11,7 +11,7 @@ use proxy_verifier::netsim::{FilterPolicy, WorldNet, WorldNetConfig};
 use proxy_verifier::{CbgPlusPlus, GeoGrid, GeoPoint, Geolocator, WorldAtlas};
 use simrng::rngs::StdRng;
 use simrng::SeedableRng;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 struct Fixture {
     world: WorldNet,
@@ -33,7 +33,9 @@ struct Fixture {
     client: u32,
 }
 
-fn fixture() -> &'static Mutex<Fixture> {
+/// The shared world, locked (tests probe it mutably). A panicking test
+/// must not poison it for the rest of the suite.
+fn fixture() -> MutexGuard<'static, Fixture> {
     static S: OnceLock<Mutex<Fixture>> = OnceLock::new();
     S.get_or_init(|| {
         let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
@@ -56,13 +58,15 @@ fn fixture() -> &'static Mutex<Fixture> {
             client,
         })
     })
+    .lock()
+    .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[test]
 fn web_tool_slope_ratio_is_about_two() {
     // Fig. 4: the Web tool's two-round-trip group has ≈ 2× the slope of
     // its one-round-trip group (paper: 1.96 on Linux).
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let Fixture {
         world,
         constellation,
@@ -99,7 +103,7 @@ fn web_tool_slope_ratio_is_about_two() {
 fn cli_tool_matches_the_one_round_trip_group() {
     // §4.3's ANOVA conclusion: CLI and one-round-trip Web measurements
     // estimate the same delay–distance relationship.
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let Fixture {
         world,
         constellation,
@@ -160,7 +164,7 @@ fn added_delay_inflates_the_region_without_breaking_coverage() {
     // Gill et al. (§8): an adversary adding delay makes CBG-family
     // regions *bigger* (simple models can't be dragged off the truth by
     // delay inflation alone).
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let (proxy, client, truth) = (g.proxy_ams, g.client, g.truth_ams);
 
     let honest = locate_proxy_region(&mut g, proxy, client).expect("measurable");
@@ -193,7 +197,7 @@ fn forged_synacks_corrupt_the_prediction() {
     // fragment that happens to sit near some landmark. Either way the
     // prediction collapses far below the honest region's size and no
     // longer resembles it.
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let (proxy, client, truth) = (g.proxy_jnb, g.client, g.truth_jnb);
 
     let honest = locate_proxy_region(&mut g, proxy, client).expect("measurable");

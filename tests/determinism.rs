@@ -39,14 +39,10 @@ fn different_seeds_differ() {
 
 /// A full fingerprint of a study's deterministic output: every record
 /// field that ends up in a report (float bits included, so "close" is
-/// not good enough), every failure, the η estimate, and the disk-cache
-/// hit/miss/entry counts — exact since the fill-once cache, so they are
-/// part of the contract rather than an exemption from it.
+/// not good enough), every failure, and the η estimate.
 fn full_fingerprint(results: &proxy_verifier::vpnstudy::audit::StudyResults) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let cache = results.cache_stats();
-    let _ = writeln!(out, "cache {} {} {}", cache.hits, cache.misses, cache.entries);
     if let Some(eta) = &results.eta {
         let _ = writeln!(out, "eta {:x} {:x} {}", eta.eta().to_bits(), eta.r_squared.to_bits(), eta.samples);
     }

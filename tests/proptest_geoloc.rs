@@ -3,9 +3,11 @@
 use atlas::CalibrationSet;
 use geoloc::algorithms::{Cbg, CbgPlusPlus};
 use geoloc::delay_model::{CbgModel, OctantModel};
-use geoloc::multilateration::{intersect_constraints, max_consistent_subset, DiskCache, RingConstraint};
+use geoloc::multilateration::{
+    intersect_constraints, max_consistent_subset, FastPath, RingConstraint,
+};
 use geoloc::{Geolocator, Observation};
-use geokit::{GeoGrid, GeoPoint, Region};
+use geokit::{GeoGrid, GeoPoint, Region, SphericalCap};
 use simrng::prop::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = GeoPoint> {
@@ -108,31 +110,77 @@ proptest! {
                 RingConstraint::disk(lm, r)
             })
             .collect();
-        let subset = max_consistent_subset(&constraints, &mask);
+        let subset = max_consistent_subset(&constraints, &mask, FastPath::Exact, None);
         prop_assert_eq!(subset.satisfied, constraints.len());
         let plain = intersect_constraints(&constraints, &mask);
         prop_assert_eq!(subset.region.cell_count(), plain.cell_count());
     }
 
     #[test]
-    fn disk_cache_quantization_is_sound(
+    fn snapping_quantization_is_sound(
         center in arb_point(),
-        radius in 30.0f64..5_000.0,
+        min in 0.0f64..2_500.0,
+        extra in 30.0f64..2_500.0,
         res_step in 1u32..5,
     ) {
-        // The cache rounds the outer radius *up* to whole grid cells and
-        // the inner (annulus-subtrahend) radius *down*: a region built
-        // from cached disks can only over-cover the exact rasterized
-        // cap, never exclude the true location.
+        // Snapping rounds the outer radius *up* to whole grid cells and
+        // the inner radius *down*: the snapped region can only over-cover
+        // the exact one, never exclude the true location, and grows by at
+        // most one cell of radius on each side.
         let grid = GeoGrid::new(f64::from(res_step) * 0.5);
-        let cache = DiskCache::new(std::sync::Arc::clone(&grid));
-        let exact = Region::from_cap(&grid, &geokit::SphericalCap::new(center, radius));
-        prop_assert!(cache.quantized_radius_km(radius) + 1e-9 >= radius);
-        let outer = cache.disk(&center, radius);
-        prop_assert!(exact.is_subset_of(&outer));
-        if let Some(inner) = cache.inner_disk(&center, radius) {
-            prop_assert!(inner.is_subset_of(&exact));
+        let mask = Region::full(std::sync::Arc::clone(&grid));
+        let exact = RingConstraint::ring(center, min, min + extra);
+        let snapped = exact.snapped_to_cells(&grid);
+        prop_assert!(snapped.max_km >= exact.max_km && snapped.min_km <= exact.min_km);
+        let exact_region = intersect_constraints(&[exact], &mask);
+        let snapped_region = intersect_constraints(&[snapped], &mask);
+        prop_assert!(exact_region.is_subset_of(&snapped_region));
+        let one_cell = grid.resolution_deg() * 111.32 + 1e-6;
+        let inflated = intersect_constraints(&[exact.inflated(one_cell)], &mask);
+        prop_assert!(snapped_region.is_subset_of(&inflated));
+    }
+
+    #[test]
+    fn snapped_run_intersection_equals_cap_bitmap_composition(
+        discs in prop::collection::vec(
+            (
+                (-89.9f64..89.9, -180.0f64..180.0),
+                0.0f64..3_000.0,
+                1.0f64..4_000.0,
+                0u32..2,
+            ),
+            1..5,
+        ),
+        res_step in 1u32..5,
+    ) {
+        // The run-based intersection of snapped constraints is bit for
+        // bit the composition of whole-grid cap bitmaps: each outer cap
+        // intersected, each inner cap subtracted. This is what lets CBG++
+        // snap its fast path instead of memoizing rasterized disks.
+        let grid = GeoGrid::new(f64::from(res_step) * 0.5);
+        let mask = Region::full(std::sync::Arc::clone(&grid));
+        let snapped: Vec<RingConstraint> = discs
+            .iter()
+            .map(|&((lat, lon), min, extra, is_ring)| {
+                let center = GeoPoint::new(lat, lon);
+                let c = if is_ring == 1 {
+                    RingConstraint::ring(center, min, min + extra)
+                } else {
+                    RingConstraint::disk(center, extra)
+                };
+                c.snapped_to_cells(&grid)
+            })
+            .collect();
+        let runs = intersect_constraints(&snapped, &mask);
+        let mut bitmap = mask.clone();
+        for c in &snapped {
+            bitmap.intersect_with(&Region::from_cap(&grid, &SphericalCap::new(c.center, c.max_km)));
+            if c.min_km > 0.0 {
+                bitmap.subtract(&Region::from_cap(&grid, &SphericalCap::new(c.center, c.min_km)));
+            }
         }
+        prop_assert_eq!(runs.cell_count(), bitmap.cell_count());
+        prop_assert!(runs.is_subset_of(&bitmap));
     }
 
     #[test]

@@ -26,12 +26,10 @@ fn tiny_config(seed: u64) -> StudyConfig {
 }
 
 /// Everything deterministic the merge is responsible for assembling:
-/// records in proxy order, failures, exact cache counters, and the
-/// absorbed event trace.
+/// records in proxy order, failures, and the absorbed event trace.
 fn fingerprint(results: &StudyResults) -> String {
     use std::fmt::Write as _;
-    let cache = results.cache_stats();
-    let mut out = format!("cache {} {} {}\n", cache.hits, cache.misses, cache.entries);
+    let mut out = String::new();
     for r in &results.records {
         let _ = writeln!(
             out,
