@@ -9,6 +9,10 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --offline
 cargo test -q --offline
 
+# The benchmark under perfbench/ is a separate, frozen crate that calls
+# the study's public entry points; it must at least still compile.
+cargo test --no-run -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Lint gate: the workspace must be clippy-clean, warnings as errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -43,23 +47,6 @@ for t in 8 16; do
         echo "FAIL: study report differs between PV_THREADS=1 and PV_THREADS=$t" >&2
         exit 1
     }
-done
-
-# Sharding determinism gate: the master/worker split must be just as
-# invisible as the thread pool. The same report, run as 2 and 5 shards
-# crossed with 1 and 8 workers, must be byte-identical to the
-# monolithic 1-thread reference above — including the JSONL trace.
-for s in 2 5; do
-    for t in 1 8; do
-        PV_SHARDS=$s PV_THREADS=$t \
-            cargo run -q --release --offline -p bench --bin determinism_report \
-            > "$report_dir/report-${s}shard-${t}thread.txt"
-        cmp "$report_dir/report-1thread.txt" \
-            "$report_dir/report-${s}shard-${t}thread.txt" || {
-            echo "FAIL: study report differs at PV_SHARDS=$s PV_THREADS=$t" >&2
-            exit 1
-        }
-    done
 done
 
 # Results freshness gate: the committed small-scale headline numbers

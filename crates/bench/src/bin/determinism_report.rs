@@ -1,11 +1,9 @@
 //! Render the audit's deterministic report blocks for the CI
 //! determinism gate.
 //!
-//! `ci.sh` runs this under `PV_THREADS=1`, `8`, and `16`, then again
-//! under `PV_SHARDS=2` and `5` crossed with `PV_THREADS=1` and `8`, and
-//! fails on any byte difference, proving that neither the parallel
-//! audit engine nor the master/worker shard split changes anything the
-//! study reports. Everything printed here must therefore be
+//! `ci.sh` runs this under `PV_THREADS=1`, `8`, and `16` and fails on
+//! any byte difference, proving that the parallel audit engine changes
+//! nothing the study reports. Everything printed here must therefore be
 //! a pure function of the study seed: the perf telemetry block
 //! (`render_perf_telemetry`) is absent because it prints wall-clock
 //! span timings. The observability block, the deterministic half
@@ -20,8 +18,7 @@ use vpnstudy::StudyConfig;
 
 fn main() {
     let mut study = Study::build(StudyConfig::small(0xd1ff));
-    // `Study::run` reads PV_THREADS via `parallel::configured_threads`
-    // and PV_SHARDS via `parallel::configured_shards`.
+    // `Study::run` reads PV_THREADS via `parallel::configured_threads`.
     let results = study.run();
     print!("{}", report::render_overall(&study, &results));
     println!("---");
@@ -33,7 +30,7 @@ fn main() {
     println!("---");
     // The deterministic half of each progress snapshot: a pure function
     // of (seed, snapshot_every), so it diffs byte-identically across
-    // every shard × thread combination. The wall half (elapsed, ETA) is
+    // every thread count. The wall half (elapsed, ETA) is
     // deliberately absent from this rendering.
     print!("{}", results.snapshots_jsonl());
     println!("---");

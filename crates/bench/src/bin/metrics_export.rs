@@ -24,8 +24,8 @@ fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
 
     let mut study = Study::build(StudyConfig::small(0xd1ff));
-    // Thread/shard shape comes from PV_THREADS / PV_SHARDS, exactly as
-    // in determinism_report.
+    // The worker count comes from PV_THREADS, exactly as in
+    // determinism_report.
     let results = study.run();
     let set = match ops::study_metrics(&results) {
         Ok(set) => set,

@@ -2,7 +2,7 @@
 //! operator would scrape or load from a finished audit —
 //!
 //! * the ops dashboard (`report::render_ops`): progress, quantiles,
-//!   per-shard gauges, and the SLO verdict under the default ruleset;
+//!   and the SLO verdict under the default ruleset;
 //! * the full OpenMetrics exposition, round-tripped through the in-repo
 //!   parser before it leaves this function;
 //! * the Perfetto/Chrome trace-event JSON of the span profile and sim

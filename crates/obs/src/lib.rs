@@ -646,7 +646,7 @@ impl Recorder {
     }
 
     /// Add `n` to the wall-side counter `name` — telemetry about the
-    /// run's machinery (worker and shard counts) rather than the
+    /// run's machinery (the worker count) rather than the
     /// study's findings.
     pub fn wall_count(&self, name: &'static str, n: u64) {
         if self.level == Level::Off {

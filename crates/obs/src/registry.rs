@@ -14,7 +14,7 @@
 //! Families are split into two compartments. `Deterministic` families
 //! derive purely from the simulation (CI byte-diffs their rendered
 //! exposition across `PV_THREADS`); `Wall` families carry run-machinery
-//! telemetry (timings, thread and shard counts) that legitimately
+//! telemetry (timings, thread counts) that legitimately
 //! varies run to run.
 
 use crate::export::{lint_metric_name, MetricKind};
@@ -48,9 +48,9 @@ pub struct MetricDef {
 }
 
 /// A family whose label *values* are only known at export time (span
-/// paths, shard indexes, provider names). Cardinality stays bounded by
-/// construction: span paths by the static span inventory, shards by
-/// `PV_SHARDS`, providers by the study's provider table.
+/// paths, provider names). Cardinality stays bounded by construction:
+/// span paths by the static span inventory, providers by the study's
+/// provider table.
 #[derive(Debug, Clone, Copy)]
 pub struct DynamicDef {
     /// The exported OpenMetrics family.
@@ -231,14 +231,6 @@ pub const WALL_COUNTERS: &[MetricDef] = &[
         compartment: Compartment::Wall,
         help: "Worker threads the audit fanned out over.",
     },
-    MetricDef {
-        raw: "audit.shards",
-        family: "pv_audit_shards",
-        labels: &[],
-        kind: MetricKind::Gauge,
-        compartment: Compartment::Wall,
-        help: "Shards the audit master split the proxy list into.",
-    },
 ];
 
 /// Families whose label values are only known at export time.
@@ -253,14 +245,6 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Cumulative profile span time by tree path."),
     dyn_def("pv_span_self_seconds_total", MetricKind::Gauge, &["path"], Compartment::Wall,
         "Self (non-child) profile span time by tree path."),
-    dyn_def("pv_shard_progress_ratio", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Fraction of a shard's proxies already audited."),
-    dyn_def("pv_shard_proxies_done", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Proxies a shard has finished auditing."),
-    dyn_def("pv_shard_probes_sent", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Probes a shard has sent so far."),
-    dyn_def("pv_shard_retries", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Probe retries a shard has scheduled so far."),
     dyn_def("pv_progress_proxies_done", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Proxies audited, global deterministic order."),
     dyn_def("pv_progress_proxies_total", MetricKind::Gauge, &[], Compartment::Deterministic,

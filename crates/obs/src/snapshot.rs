@@ -1,6 +1,6 @@
 //! Live progress snapshots for long-running audits.
 //!
-//! The sharded audit master drives a set of [`ProgressSink`]s at
+//! The audit drives a set of [`ProgressSink`]s at
 //! deterministic intervals — every `k` proxies in **global proxy
 //! order** — handing each a [`ProgressSnapshot`]. Snapshots carry two
 //! compartments, mirroring the [`Recorder`](crate::Recorder) split:
@@ -8,10 +8,9 @@
 //! * the **deterministic** fields (proxies done, probes sent, retries,
 //!   timeouts, per-outcome tallies, the sim-clock stamp) are a pure
 //!   function of `(seed, k)`. Per-proxy stat deltas are captured in
-//!   each shard's absorb loop (already proxy-ordered), carried through
-//!   the merge, and folded in shard-range order — so the snapshot
-//!   stream is byte-identical across any `PV_SHARDS × PV_THREADS`
-//!   combination, and CI diffs the JSONL rendering
+//!   the audit's proxy-ordered absorb loop, so the snapshot stream is
+//!   byte-identical for any `PV_THREADS`, and CI diffs the JSONL
+//!   rendering
 //!   ([`ProgressSnapshot::deterministic_jsonl`]) exactly like the event
 //!   trace;
 //! * the **wall** fields ([`WallProgress`]: elapsed, ETA) are genuine
@@ -36,8 +35,8 @@ pub enum ProxyOutcome {
     Unmeasurable,
 }
 
-/// The deterministic per-proxy delta captured by a shard's absorb loop
-/// just before the proxy's trace folds into the shard recorder.
+/// The deterministic per-proxy delta captured by the audit's absorb loop
+/// just before the proxy's trace folds into the study recorder.
 #[derive(Debug, Clone, Copy)]
 pub struct ProxyStat {
     /// The proxy's node id.
@@ -103,8 +102,8 @@ impl ProgressSnapshot {
     }
 
     /// Render the deterministic compartment as one JSONL line
-    /// (newline-terminated). Byte-identical across shard and thread
-    /// counts; CI diffs it.
+    /// (newline-terminated). Byte-identical across thread counts; CI
+    /// diffs it.
     pub fn deterministic_jsonl(&self) -> String {
         format!(
             "{{\"seq\":{},\"done\":{},\"total\":{},\"sim_ns\":{},\"probes\":{},\"timeouts\":{},\"retries\":{},\"measured\":{},\"insufficient\":{},\"unmeasurable\":{}}}\n",

@@ -24,6 +24,7 @@ use obs::Recorder;
 use simrng::rngs::StdRng;
 use simrng::SeedableRng;
 use std::sync::Arc;
+use std::time::Instant;
 use worldmap::market::MarketSurvey;
 use worldmap::{Continent, CountryId, DataCenterRegistry, WorldAtlas};
 
@@ -130,21 +131,13 @@ pub struct StudyResults {
     pub obs: Recorder,
     /// Worker count the audit actually ran with.
     pub threads: usize,
-    /// Shard count the audit master fanned out over (1 for the
-    /// monolithic path). Wall-side bookkeeping only: the deterministic
-    /// output is byte-identical for every value.
-    pub shards: usize,
     /// Progress snapshots emitted during the run, one every
     /// [`StudyConfig::snapshot_every`] proxies plus a final one. The
     /// deterministic compartment of each snapshot is a pure function of
     /// the study seed ([`StudyResults::snapshots_jsonl`] is what the
-    /// determinism gates diff); the wall compartment is back-filled at
-    /// merge time and stays out of every diff.
+    /// determinism gates diff); the wall compartment is filled in from
+    /// the run's elapsed time and stays out of every diff.
     pub snapshots: Vec<ProgressSnapshot>,
-    /// Per-shard final gauges (wall-side: the split itself is invisible
-    /// to the deterministic output, so anything keyed by shard id is
-    /// operational telemetry only).
-    pub shard_progress: Vec<ShardProgress>,
 }
 
 /// The shape [`StudyResults::cache_stats`] returns: always zeros.
@@ -154,24 +147,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Always 0.
     pub misses: u64,
-}
-
-/// Final per-shard progress gauges, captured at merge time. Everything
-/// here is wall-compartment telemetry: shard boundaries are a run-shape
-/// choice, so per-shard numbers must never enter a determinism diff.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardProgress {
-    /// The shard's index in the plan.
-    pub shard_id: usize,
-    /// Proxies the shard audited (records + failures).
-    pub proxies_done: u64,
-    /// Probes the shard's proxies sent.
-    pub probes_sent: u64,
-    /// Retries the shard's reliability layer scheduled.
-    pub retries: u64,
-    /// Fraction of the shard's range finished (1.0 after a completed
-    /// run; the field exists so a live sink sees the same shape).
-    pub progress_ratio: f64,
 }
 
 impl Study {
@@ -215,70 +190,42 @@ impl Study {
         self.progress_sinks.push(sink);
     }
 
-    /// Run the audit over every deployed proxy, on
-    /// [`parallel::configured_shards`] shards ×
-    /// [`parallel::configured_threads`] workers (`PV_SHARDS` and
-    /// `PV_THREADS` pin the counts; results are byte-identical for any
-    /// combination — see [`run_sharded`](Study::run_sharded)).
+    /// Run the audit over every deployed proxy on
+    /// [`parallel::configured_threads`] workers (`PV_THREADS` pins the
+    /// count; results are byte-identical for any value — see
+    /// [`run_with_threads`](Study::run_with_threads)).
     pub fn run(&mut self) -> StudyResults {
-        self.run_sharded(parallel::configured_shards(), parallel::configured_threads())
+        self.run_with_threads(parallel::configured_threads())
     }
 
-    /// Run the audit with an explicit worker count on a single shard —
-    /// the monolithic path, kept as the reference the sharded runs are
-    /// byte-diffed against.
+    /// Forwards to [`run_with_threads`](Study::run_with_threads) and
+    /// ignores `_shards`. A stub kept only because the `perfbench/`
+    /// benchmark still calls it; the next benchmark change removes it.
+    pub fn run_sharded(&mut self, _shards: usize, threads: usize) -> StudyResults {
+        self.run_with_threads(threads)
+    }
+
+    /// Run the audit with an explicit worker count.
+    ///
+    /// **The determinism contract:** any thread count is byte-identical
+    /// to the 1-thread run. η is estimated serially on the master
+    /// network; then every proxy forks the master [`Network`] and a
+    /// [`Recorder`] of its own, and its outcome is a pure function of
+    /// `(config.seed, proxy.node)` and the shared read-only world. The
+    /// per-proxy traces are absorbed in proxy order, never in
+    /// completion order, so the merged trace, the records and the
+    /// snapshot stream do not depend on scheduling.
     pub fn run_with_threads(&mut self, threads: usize) -> StudyResults {
-        self.run_sharded(1, threads)
-    }
-
-    /// Run the audit as `shard_count` independent shards on `threads`
-    /// total workers, then merge.
-    ///
-    /// **The determinism contract, lifted one level:** any shard count ×
-    /// any thread count is byte-identical to the monolithic
-    /// (1-shard, 1-thread) run. The master shards the proxy universe by
-    /// pure `(seed, shard_id, shard_count)` arithmetic
-    /// ([`plan_shards`]); each shard worker gets its own
-    /// [`Network::fork`] lineage and a [`Recorder`] forked from the
-    /// master's, and measures its contiguous slice of proxies;
-    /// [`StudyResults::merge`] concatenates shard outputs in shard
-    /// order. The per-proxy argument is unchanged from the thread
-    /// pool's: every stochastic input derives from
-    /// `(config.seed, proxy.node)` alone, and a fork-of-a-fork that
-    /// probes nothing in between is indistinguishable from a fork of the
-    /// parent.
-    pub fn run_sharded(&mut self, shard_count: usize, threads: usize) -> StudyResults {
-        let (master, shards) = self.run_shards(shard_count, threads);
-        StudyResults::merge(master, shards)
-    }
-
-    /// The master half of [`run_sharded`](Study::run_sharded): estimate
-    /// η serially, then fan the shard plan out and return the per-shard
-    /// results *unmerged*, along with the master state
-    /// ([`StudyResults::merge`] consumes both). Exposed so tests can
-    /// exercise merge semantics (ordering, neutrality of empty shards)
-    /// directly.
-    ///
-    /// `threads` is the total worker budget: up to
-    /// `min(shard_count, threads)` shards run concurrently, each fanning
-    /// its proxies out over an equal share of the remaining budget. Any
-    /// split produces the same bytes; the split only shapes wall-clock
-    /// time.
-    pub fn run_shards(
-        &mut self,
-        shard_count: usize,
-        threads: usize,
-    ) -> (ShardMaster, Vec<ShardResults>) {
-        let shard_count = shard_count.max(1);
         let threads = threads.max(1);
+        let started = Instant::now();
         let atlas = Arc::clone(self.world.atlas());
         let recorder = Recorder::new(self.config.obs_level);
         let run_span = recorder.profile_span("audit.run");
 
         // η estimation over the pingable subset (§5.3, Fig. 13). Runs
-        // serially on the master network before any shard forks, so its
+        // serially on the master network before any proxy forks, so its
         // events land at the head of the trace in a fixed order and
-        // every shard lineage forks from the same post-η clock.
+        // every proxy forks from the same post-η clock.
         self.world.network_mut().set_recorder(recorder.clone());
         let pingable: Vec<NodeId> = self
             .providers
@@ -311,9 +258,9 @@ impl Study {
         // One landmark server for the whole fleet: the phase-1 anchor
         // selection, per-landmark continent table, and calibration-anchor
         // mapping are pure functions of the constellation, so every
-        // shard shares one read-only server instead of rebuilding it.
+        // proxy shares one read-only server instead of rebuilding it.
         let server = LandmarkServer::new(&self.constellation, &self.calibration, &atlas);
-        let master = MasterCtx {
+        let ctx = AuditCtx {
             network: self.world.network(),
             client: self.client,
             eta,
@@ -324,195 +271,78 @@ impl Study {
             registry: &self.registry,
             obs: &recorder,
         };
-
-        let proxies = self.providers.proxies.clone();
-        let plan = plan_shards(self.config.seed, proxies.len(), shard_count);
-        let inputs: Vec<(ShardSpec, Vec<DeployedProxy>)> = plan
-            .into_iter()
-            .map(|spec| {
-                let slice = proxies[spec.start..spec.end].to_vec();
-                (spec, slice)
-            })
-            .collect();
-        // Split the worker budget: outer workers run shards, each shard
-        // fans its proxies out over an equal share of what remains. Any
-        // split is byte-equivalent; this one keeps the budget busy.
-        let outer = shard_count.min(threads);
-        let inner = (threads / outer).max(1);
-        let shards = parallel::map_indexed(outer, inputs, |_, (spec, slice)| {
-            run_shard(spec, slice, inner, &master)
+        let outcomes = parallel::map_indexed(threads, self.providers.proxies.clone(), |_, proxy| {
+            measure_one_proxy(proxy, &ctx)
         });
+
+        // Merge the worker-local buffers back in proxy order: the study
+        // trace is byte-identical for any thread count.
+        let absorb_span = recorder.profile_span("audit.absorb");
+        let mut records: Vec<ProxyRecord> = Vec::with_capacity(outcomes.len());
+        let mut failures: Vec<UnmeasuredProxy> = Vec::new();
+        let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
+            // Capture the proxy's deterministic delta off its still-private
+            // trace *before* it folds into the study recorder: the loop is
+            // single-threaded and proxy-ordered, so the stat stream is a
+            // pure function of the seed regardless of how many workers
+            // measured.
+            proxy_stats.push(proxy_stat(&outcome));
+            recorder.absorb(&outcome.trace);
+            match outcome.result {
+                ProxyResult::Record(r) => records.push(*r),
+                ProxyResult::Failure(f) => failures.push(f),
+            }
+        }
+        drop(absorb_span);
         drop(run_span);
+        let elapsed_ms = started.elapsed().as_millis() as u64;
 
         // The recorder belongs to this run: detach it from the shared
         // network so later ad-hoc measurements (figure harnesses,
         // benches) don't keep appending to a finished run's trace.
         self.world.network_mut().set_recorder(Recorder::off());
 
-        (
-            ShardMaster {
-                eta: eta_est,
-                obs: recorder,
-                threads,
-                snapshot_every: self.config.snapshot_every.max(1) as u64,
-                sinks: std::mem::take(&mut self.progress_sinks),
-            },
-            shards,
-        )
-    }
-}
+        let merge_span = recorder.profile_span("audit.merge");
+        // Co-location group disambiguation (Fig. 16): within a group, the
+        // true country must be common to every member's touched set.
+        apply_group_disambiguation(&mut records);
+        recorder.wall_count("audit.threads", threads as u64);
 
-/// One shard's slice of the proxy universe, derived by pure
-/// `(seed, shard_id, shard_count)` arithmetic — no RNG, no machine
-/// state, so every master computes the identical plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// This shard's index in `0..shard_count`.
-    pub shard_id: usize,
-    /// Total shards in the plan.
-    pub shard_count: usize,
-    /// First proxy index (inclusive) of the shard's contiguous range.
-    pub start: usize,
-    /// One past the last proxy index of the range.
-    pub end: usize,
-    /// Seed for the shard's [`Network::fork`] lineage, pure in
-    /// `(seed, shard_id)`. The shard fork itself never probes — per-proxy
-    /// forks re-seed from `(seed, proxy.node)` — so this value shapes no
-    /// output byte; it exists so the lineage is still fully specified.
-    pub net_seed: u64,
-}
-
-/// Compute the shard plan: `shard_count` contiguous, balanced ranges
-/// covering `0..total` (sizes differ by at most one; empty ranges are
-/// legal when `shard_count > total`). Contiguity is what makes merging
-/// trivial — concatenating shard outputs in `start` order *is* proxy
-/// order, so the merged trace and record list match the monolithic run
-/// byte for byte.
-pub fn plan_shards(seed: u64, total: usize, shard_count: usize) -> Vec<ShardSpec> {
-    let shard_count = shard_count.max(1);
-    (0..shard_count)
-        .map(|shard_id| ShardSpec {
-            shard_id,
-            shard_count,
-            start: shard_id * total / shard_count,
-            end: (shard_id + 1) * total / shard_count,
-            net_seed: seed
-                ^ 0x5aa2d
-                ^ (shard_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        })
-        .collect()
-}
-
-/// What the master keeps for itself while shards run: the η estimate,
-/// the master recorder (η events + run-level spans), and the worker
-/// budget. [`StudyResults::merge`] folds shard outputs into this.
-pub struct ShardMaster {
-    /// The η estimate every shard measured with.
-    pub eta: Option<EtaEstimate>,
-    /// The master recorder; shard traces are absorbed into it in shard
-    /// order at merge time.
-    pub obs: Recorder,
-    /// Total worker budget the run was given.
-    pub threads: usize,
-    /// Snapshot interval (proxies per snapshot) from the study config.
-    pub snapshot_every: u64,
-    /// Progress sinks to drive while folding shard outputs.
-    pub sinks: Vec<Box<dyn ProgressSink>>,
-}
-
-/// One shard's complete, mergeable output: its records and failures in
-/// proxy order and its recorder (per-proxy traces already absorbed in
-/// proxy order).
-pub struct ShardResults {
-    /// The plan entry this shard executed.
-    pub spec: ShardSpec,
-    /// Records for the shard's range, in proxy order.
-    pub records: Vec<ProxyRecord>,
-    /// Failures for the shard's range, in proxy order.
-    pub failures: Vec<UnmeasuredProxy>,
-    /// The shard recorder: deterministic events/counters for the range,
-    /// plus the shard's wall-clock profile subtree.
-    pub trace: Recorder,
-    /// Per-proxy deterministic deltas in proxy order, captured before
-    /// each proxy's trace folded into the shard recorder. Concatenated
-    /// in range order at merge time, these drive the snapshot stream.
-    pub proxy_stats: Vec<ProxyStat>,
-}
-
-/// Read-only master state a shard worker measures against.
-struct MasterCtx<'a> {
-    network: &'a Network,
-    client: NodeId,
-    eta: f64,
-    config: &'a StudyConfig,
-    server: &'a LandmarkServer<'a>,
-    atlas: &'a Arc<WorldAtlas>,
-    mask: &'a Region,
-    registry: &'a DataCenterRegistry,
-    obs: &'a Recorder,
-}
-
-/// Execute one shard: fork the network lineage and recorder, measure the
-/// shard's proxies on `inner_threads` workers, absorb their traces in
-/// proxy order, and package the mergeable result.
-///
-/// The shard's [`Network::fork`] never probes, so per-proxy forks taken
-/// from it are bit-identical to forks taken from the master network
-/// (same clock, same shared topology, untouched fault state) — the heart
-/// of the shard-count-invariance argument.
-fn run_shard(
-    spec: ShardSpec,
-    proxies: Vec<DeployedProxy>,
-    inner_threads: usize,
-    master: &MasterCtx<'_>,
-) -> ShardResults {
-    let shard_rec = master.obs.fork();
-    // Rooted so the shard subtree has the same profile shape whether the
-    // shard ran inline on the coordinator or on an outer worker thread.
-    let shard_span = shard_rec.profile_span_root("audit.shard");
-    let shard_net = master.network.fork(spec.net_seed);
-    let ctx = AuditCtx {
-        network: &shard_net,
-        client: master.client,
-        eta: master.eta,
-        config: master.config,
-        server: master.server,
-        atlas: master.atlas,
-        mask: master.mask,
-        registry: master.registry,
-        obs: &shard_rec,
-    };
-    let outcomes = parallel::map_indexed(inner_threads, proxies, |_, proxy| {
-        measure_one_proxy(proxy, &ctx)
-    });
-
-    // Merge the worker-local buffers back in proxy order: the shard
-    // trace is byte-identical for any inner thread count.
-    let absorb_span = shard_rec.profile_span("audit.absorb");
-    let mut records: Vec<ProxyRecord> = Vec::with_capacity(outcomes.len());
-    let mut failures: Vec<UnmeasuredProxy> = Vec::new();
-    let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        // Capture the proxy's deterministic delta off its still-private
-        // trace *before* it folds into the shard recorder: the loop is
-        // single-threaded and proxy-ordered, so the stat stream is a
-        // pure function of the shard's range regardless of how many
-        // inner workers measured.
-        proxy_stats.push(proxy_stat(&outcome));
-        shard_rec.absorb(&outcome.trace);
-        match outcome.result {
-            ProxyResult::Record(r) => records.push(*r),
-            ProxyResult::Failure(f) => failures.push(f),
+        // Drive the snapshot stream: the per-proxy stats are in proxy
+        // order, so the deterministic compartment of every snapshot is a
+        // pure function of (seed, snapshot_every). Wall fields pro-rate
+        // the run's elapsed time over the stream and never enter a
+        // determinism diff.
+        let mut sinks = std::mem::take(&mut self.progress_sinks);
+        let every = self.config.snapshot_every.max(1) as u64;
+        let mut builder = SnapshotBuilder::new(proxy_stats.len() as u64, every);
+        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
+        for stat in &proxy_stats {
+            if let Some(mut snap) = builder.push(stat) {
+                let done_ms = (elapsed_ms as f64 * snap.ratio()) as u64;
+                snap.wall = WallProgress {
+                    elapsed_ms: done_ms,
+                    eta_ms: elapsed_ms.saturating_sub(done_ms),
+                };
+                for sink in &mut sinks {
+                    sink.emit(&snap);
+                }
+                snapshots.push(snap);
+            }
         }
-    }
-    drop(absorb_span);
-    drop(shard_span);
-    ShardResults {
-        spec,
-        records,
-        failures,
-        trace: shard_rec,
-        proxy_stats,
+        drop(merge_span);
+
+        let unmeasured = failures.len();
+        StudyResults {
+            records,
+            eta: eta_est,
+            failures,
+            unmeasured,
+            obs: recorder,
+            threads,
+            snapshots,
+        }
     }
 }
 
@@ -537,105 +367,6 @@ fn proxy_stat(outcome: &ProxyOutcome) -> ProxyStat {
         probes_timeout: outcome.trace.counter("net.probe.timeout"),
         retries: outcome.trace.counter("rel.retry"),
         outcome: kind,
-    }
-}
-
-impl StudyResults {
-    /// Reassemble a full study from the master state and the per-shard
-    /// outputs of [`Study::run_shards`].
-    ///
-    /// Merge semantics, and why the result is byte-identical to the
-    /// monolithic run:
-    ///
-    /// * **Order-insensitive.** Shards are re-sorted by their plan range
-    ///   before anything is concatenated, so shards handed back in any
-    ///   order (a property the tests exercise directly) produce the same
-    ///   bytes. Because [`plan_shards`] ranges are contiguous, sorted
-    ///   concatenation *is* proxy order — the invariant every
-    ///   deterministic output hangs off.
-    /// * **Traces.** Each shard recorder already absorbed its per-proxy
-    ///   buffers in proxy order; absorbing the shard recorders into the
-    ///   master in range order concatenates events exactly as the
-    ///   monolithic collector would have, and merges counters and
-    ///   histograms additively (both are commutative over disjoint
-    ///   proxy sets, but the event stream is not — hence the sort).
-    /// * **Empty shards are neutral.** An empty range contributes no
-    ///   records, no failures, no events — merging it in is a
-    ///   no-op, which is what makes `shard_count > proxies` legal.
-    ///
-    /// Co-location group disambiguation (Fig. 16) runs here, after the
-    /// merge, because groups span shard boundaries: a shard alone cannot
-    /// see a group's full membership.
-    pub fn merge(mut master: ShardMaster, mut shards: Vec<ShardResults>) -> StudyResults {
-        let recorder = master.obs;
-        let merge_span = recorder.profile_span("audit.merge");
-        shards.sort_by_key(|s| (s.spec.start, s.spec.shard_id));
-
-        let shard_count = shards.len().max(1);
-        let total: usize = shards.iter().map(|s| s.records.len() + s.failures.len()).sum();
-        let mut records: Vec<ProxyRecord> = Vec::with_capacity(total);
-        let mut failures: Vec<UnmeasuredProxy> = Vec::new();
-        let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(total);
-        let mut shard_progress: Vec<ShardProgress> = Vec::with_capacity(shards.len());
-        for shard in shards {
-            recorder.absorb(&shard.trace);
-            shard_progress.push(ShardProgress {
-                shard_id: shard.spec.shard_id,
-                proxies_done: shard.proxy_stats.len() as u64,
-                probes_sent: shard.proxy_stats.iter().map(|s| s.probes_sent).sum(),
-                retries: shard.proxy_stats.iter().map(|s| s.retries).sum(),
-                progress_ratio: 1.0,
-            });
-            records.extend(shard.records);
-            failures.extend(shard.failures);
-            proxy_stats.extend(shard.proxy_stats);
-        }
-
-        // Co-location group disambiguation (Fig. 16): within a group, the
-        // true country must be common to every member's touched set.
-        apply_group_disambiguation(&mut records);
-
-        recorder.wall_count("audit.threads", master.threads.max(1) as u64);
-        recorder.wall_count("audit.shards", shard_count as u64);
-
-        // Drive the snapshot stream: the concatenated per-proxy stats
-        // are in global proxy order (contiguous ranges, sorted), so the
-        // deterministic compartment of every snapshot is a pure function
-        // of (seed, snapshot_every). Wall fields are back-filled from
-        // the run's own telemetry — total elapsed pro-rated over the
-        // stream — and never rendered into a determinism diff.
-        let elapsed_ms = recorder
-            .profile_stat("audit.run")
-            .map_or(0, |s| (s.cum_ns / 1_000_000) as u64);
-        let mut builder = SnapshotBuilder::new(proxy_stats.len() as u64, master.snapshot_every);
-        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
-        for stat in &proxy_stats {
-            if let Some(mut snap) = builder.push(stat) {
-                let done_ms = (elapsed_ms as f64 * snap.ratio()) as u64;
-                snap.wall = WallProgress {
-                    elapsed_ms: done_ms,
-                    eta_ms: elapsed_ms.saturating_sub(done_ms),
-                };
-                for sink in &mut master.sinks {
-                    sink.emit(&snap);
-                }
-                snapshots.push(snap);
-            }
-        }
-        drop(merge_span);
-
-        let unmeasured = failures.len();
-        StudyResults {
-            records,
-            eta: master.eta,
-            failures,
-            unmeasured,
-            obs: recorder,
-            threads: master.threads.max(1),
-            shards: shard_count,
-            snapshots,
-            shard_progress,
-        }
     }
 }
 
@@ -1134,7 +865,7 @@ impl StudyResults {
     }
 
     /// The deterministic compartment of every progress snapshot as
-    /// JSONL — byte-identical for any `PV_SHARDS × PV_THREADS`, so the
+    /// JSONL — byte-identical for any `PV_THREADS`, so the
     /// determinism gates diff it alongside the event trace.
     pub fn snapshots_jsonl(&self) -> String {
         self.snapshots
@@ -1369,10 +1100,6 @@ mod tests {
             res.snapshots_full_jsonl().matches("\"wall\"").count(),
             res.snapshots.len()
         );
-        // Per-shard gauges exist for every shard in the plan.
-        assert_eq!(res.shard_progress.len(), res.shards);
-        let done: u64 = res.shard_progress.iter().map(|s| s.proxies_done).sum();
-        assert_eq!(done, n);
     }
 
     #[test]
@@ -1398,6 +1125,23 @@ mod tests {
         let ring = ring.lock().unwrap();
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.latest().unwrap().proxies_done, 12);
+    }
+
+    #[test]
+    fn progress_wall_clock_runs_with_recording_off() {
+        use obs::snapshot::RingSink;
+        use std::sync::{Arc, Mutex};
+        let mut cfg = StudyConfig::small(41);
+        cfg.total_proxies = 12;
+        cfg.obs_level = obs::Level::Off;
+        let mut study = Study::build(cfg);
+        let ring = Arc::new(Mutex::new(RingSink::new(1)));
+        study.add_progress_sink(Box::new(Arc::clone(&ring)));
+        let res = study.run_with_threads(1);
+        // The profiler is a no-op at `Off`; the progress clock is not.
+        assert!(res.obs.profile().is_empty());
+        let last = ring.lock().unwrap().latest().cloned().expect("a snapshot");
+        assert!(last.wall.elapsed_ms > 0, "{:?}", last.wall);
     }
 
     #[test]
@@ -1586,9 +1330,7 @@ mod tests {
             unmeasured: 0,
             obs: Recorder::off(),
             threads: 1,
-            shards: 1,
             snapshots: Vec::new(),
-            shard_progress: Vec::new(),
         }
     }
 

@@ -46,7 +46,7 @@ pub struct StudyConfig {
     /// deterministic order), plus a final one when the last proxy
     /// lands. The snapshot stream is a pure function of
     /// `(seed, snapshot_every)`, so it is part of the determinism
-    /// contract for any shard × thread combination.
+    /// contract for any thread count.
     pub snapshot_every: usize,
 }
 

@@ -13,7 +13,7 @@
 //! deterministic in [`obs::registry`] carries only seed-pure values, so
 //! [`obs::export::MetricSet::render_filtered`] over
 //! [`obs::export::deterministic_family`] is byte-identical for any
-//! `PV_SHARDS × PV_THREADS` — that rendering is what `ci.sh` diffs.
+//! `PV_THREADS` — that rendering is what `ci.sh` diffs.
 
 use crate::audit::StudyResults;
 use crate::store::{RevalidationPriority, VerdictStore};
@@ -88,8 +88,8 @@ pub fn suspicious_rates(results: &StudyResults) -> Vec<(usize, f64)> {
 /// Build the full metric set for a finished study: every recorder
 /// counter/histogram/span family via [`obs::export::recorder_metrics`],
 /// plus the derived gauges — probe loss rate, per-provider suspicious
-/// rates, progress totals (deterministic compartment), and the per-shard
-/// and timing gauges (wall compartment).
+/// rates, progress totals (deterministic compartment), and the timing
+/// gauges (wall compartment).
 pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
     let mut set = recorder_metrics(&results.obs)?;
 
@@ -121,15 +121,7 @@ pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
         results.snapshots.len() as u64,
     );
 
-    // Wall-compartment gauges: per-shard progress and run timing.
-    for sp in &results.shard_progress {
-        let label = sp.shard_id.to_string();
-        let shard = [("shard", label.as_str())];
-        gauge(&mut set, "pv_shard_progress_ratio", &shard, sp.progress_ratio);
-        gauge(&mut set, "pv_shard_proxies_done", &shard, sp.proxies_done as f64);
-        gauge(&mut set, "pv_shard_probes_sent", &shard, sp.probes_sent as f64);
-        gauge(&mut set, "pv_shard_retries", &shard, sp.retries as f64);
-    }
+    // Wall-compartment gauges: run timing.
     if let Some(last) = results.snapshots.last() {
         gauge(&mut set, "pv_audit_elapsed_ms", &[], last.wall.elapsed_ms as f64);
         gauge(&mut set, "pv_eta_ms", &[], last.wall.eta_ms as f64);

@@ -344,11 +344,10 @@ pub fn render_confusion(matrix: &ConfusionMatrix, max_axis: usize) -> String {
 }
 
 /// The operations dashboard: run progress, latency/retry quantiles,
-/// per-shard gauges, and the SLO alert verdict. `metrics` is the study's
-/// exposition (see [`crate::ops::study_metrics`]) and `alerts` the
-/// result of evaluating the SLO ruleset over it. Quantiles come from
-/// the power-of-two histograms, so they are deterministic; the shard
-/// table is wall-clock telemetry and never enters determinism diffs.
+/// and the SLO alert verdict. `metrics` is the study's exposition (see
+/// [`crate::ops::study_metrics`]) and `alerts` the result of evaluating
+/// the SLO ruleset over it. Quantiles come from the power-of-two
+/// histograms, so they are deterministic.
 pub fn render_ops(
     results: &StudyResults,
     metrics: &obs::export::MetricSet,
@@ -381,21 +380,6 @@ pub fn render_ops(
             "  {family:<32} n={:<8} p50={p50} p90={p90} p99={p99}",
             hist.count
         );
-    }
-
-    if !results.shard_progress.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<8}{:>8}{:>10}{:>9}",
-            "shard", "done", "probes", "retries"
-        );
-        for sp in &results.shard_progress {
-            let _ = writeln!(
-                out,
-                "{:<8}{:>8}{:>10}{:>9}",
-                sp.shard_id, sp.proxies_done, sp.probes_sent, sp.retries
-            );
-        }
     }
 
     if alerts.is_empty() {

@@ -267,9 +267,9 @@ impl VerdictStore {
 
     /// Fold every epoch of `other` into this store (appended in order,
     /// renumbered to follow this store's epochs). Returns how many
-    /// epochs were merged. This is what makes sharded *deployments* —
-    /// not just sharded runs — composable: each site keeps a private
-    /// store and a coordinator merges them.
+    /// epochs were merged. This is what makes multi-site deployments
+    /// composable: each site keeps a private store and a coordinator
+    /// merges them.
     pub fn merge_from(&mut self, other: &VerdictStore) -> io::Result<usize> {
         let merged = other.epochs.len();
         for src in &other.epochs {

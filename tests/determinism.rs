@@ -102,23 +102,15 @@ fn thread_count_never_changes_the_study() {
     }
 }
 
-/// The sharding determinism contract, crossed with the thread one: the
-/// master/worker split (`Study::run_sharded`) must be byte-identical to
-/// the monolithic run for any shard count × any worker budget. The
-/// fingerprint includes the disk-cache counters — reconstructed at
-/// merge time from per-shard key sets, they must come out *exactly*
-/// equal to the single-cache run — and the comparison extends to the
-/// JSONL event trace, the rendered observability block, and the
-/// deterministic half of the progress-snapshot stream, since shard
-/// traces and per-proxy snapshot deltas are absorbed in range order.
+/// `Study::run_sharded` survives only as a forwarder for callers of the
+/// old shard API; it ignores the shard count, so any shard count × any
+/// worker budget must reproduce the 1-thread run byte for byte: the
+/// fingerprint, the JSONL trace, the rendered observability block and
+/// the deterministic half of the progress-snapshot stream.
 #[test]
 fn shard_count_never_changes_the_study() {
     use proxy_verifier::vpnstudy::report;
-    let run = |shards: usize, threads: usize| {
-        let mut study = Study::build(StudyConfig::small(77));
-        let results = study.run_sharded(shards, threads);
-        assert_eq!(results.shards, shards.max(1));
-        assert_eq!(results.threads, threads.max(1));
+    let run = |results: proxy_verifier::vpnstudy::audit::StudyResults| {
         (
             full_fingerprint(&results),
             results.trace_jsonl(),
@@ -126,72 +118,62 @@ fn shard_count_never_changes_the_study() {
             results.snapshots_jsonl(),
         )
     };
-    let reference = run(1, 1);
+    let reference = run(Study::build(StudyConfig::small(77)).run_with_threads(1));
     assert!(!reference.0.is_empty(), "study produced no output at all");
-    assert!(
-        !reference.3.is_empty(),
-        "study produced no progress snapshots"
-    );
     for shards in [2, 5] {
         for threads in [1, 8] {
-            let sharded = run(shards, threads);
-            assert_eq!(
-                reference.0, sharded.0,
-                "fingerprint diverged at {shards} shards x {threads} threads"
-            );
-            assert_eq!(
-                reference.1, sharded.1,
-                "JSONL trace diverged at {shards} shards x {threads} threads"
-            );
-            assert_eq!(
-                reference.2, sharded.2,
-                "observability report diverged at {shards} shards x {threads} threads"
-            );
-            assert_eq!(
-                reference.3, sharded.3,
-                "snapshot stream diverged at {shards} shards x {threads} threads"
+            let results = Study::build(StudyConfig::small(77)).run_sharded(shards, threads);
+            assert_eq!(results.threads, threads);
+            assert!(
+                reference == run(results),
+                "output diverged at {shards} shards x {threads} threads"
             );
         }
     }
 }
 
-/// Degenerate shard plans are legal: more shards than proxies leaves
-/// some shards empty, and merging them must be a no-op.
+/// More workers than proxies leaves some workers with nothing to claim;
+/// the output must not notice.
 #[test]
-fn more_shards_than_proxies_is_byte_identical_too() {
-    let run = |shards: usize| {
-        let mut study = Study::build(StudyConfig::small(91));
-        full_fingerprint(&study.run_sharded(shards, 4))
+fn more_threads_than_proxies_is_byte_identical_too() {
+    let run = |threads: usize| {
+        let mut config = StudyConfig::small(91);
+        config.total_proxies = 6;
+        let mut study = Study::build(config);
+        full_fingerprint(&study.run_with_threads(threads))
     };
-    let total = {
-        let study = Study::build(StudyConfig::small(91));
-        study.providers.proxies.len()
-    };
-    assert_eq!(run(1), run(total + 7), "empty shards changed the output");
+    assert_eq!(run(1), run(13), "idle workers changed the output");
 }
 
 /// The observability layer's determinism contract: the JSONL event
-/// trace and the rendered observability block are byte-identical at any
-/// thread count. Per-proxy event buffers are recorded worker-locally
-/// and merged in proxy order, so the merged stream must not depend on
-/// which worker measured which proxy — only the wall-clock compartment
-/// (timing spans) may differ, and it is excluded here.
+/// trace, the rendered observability block and the deterministic half
+/// of the progress-snapshot stream are byte-identical at any thread
+/// count. Per-proxy event buffers and snapshot deltas are recorded
+/// worker-locally and absorbed in proxy order, so the merged streams
+/// must not depend on which worker measured which proxy — only the
+/// wall-clock compartment (timing spans, elapsed time) may differ, and
+/// it is excluded here.
 #[test]
 fn trace_and_observability_report_are_thread_count_invariant() {
     use proxy_verifier::vpnstudy::report;
     let run = |threads: usize| {
         let mut study = Study::build(StudyConfig::small(77));
         let results = study.run_with_threads(threads);
-        (results.trace_jsonl(), report::render_observability(&results))
+        (
+            results.trace_jsonl(),
+            report::render_observability(&results),
+            results.snapshots_jsonl(),
+        )
     };
-    let (trace1, obs1) = run(1);
+    let (trace1, obs1, snaps1) = run(1);
     assert!(
         trace1.lines().count() > 100,
         "trace suspiciously small: {} lines",
         trace1.lines().count()
     );
+    assert!(!snaps1.is_empty(), "study produced no progress snapshots");
     for threads in [8, 16] {
-        let (trace_n, obs_n) = run(threads);
+        let (trace_n, obs_n, snaps_n) = run(threads);
         assert_eq!(
             trace1, trace_n,
             "JSONL trace diverged between 1 and {threads} threads"
@@ -199,6 +181,10 @@ fn trace_and_observability_report_are_thread_count_invariant() {
         assert_eq!(
             obs1, obs_n,
             "observability report diverged between 1 and {threads} threads"
+        );
+        assert_eq!(
+            snaps1, snaps_n,
+            "snapshot stream diverged between 1 and {threads} threads"
         );
     }
 }
