@@ -411,6 +411,35 @@ mod tests {
     }
 
     #[test]
+    fn routing_from_every_host_keeps_one_tree_per_core_node_at_most() {
+        let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
+        let mut w = WorldNet::build(atlas, WorldNetConfig::default());
+        let ixps = w.ixps().to_vec();
+        let mut hosts = Vec::new();
+        for (i, &ixp) in ixps.iter().enumerate() {
+            let at = w.network().topology().node(ixp).location;
+            hosts.push(w.attach_host(at, FilterPolicy::default()));
+            if i % 2 == 0 {
+                let (host, _gateway) =
+                    w.attach_host_via_gateway(at, FilterPolicy::default(), FilterPolicy::default());
+                hosts.push(host);
+            }
+        }
+        let net = w.network();
+        for &h in &hosts[1..] {
+            assert!(net.path_delays(h, hosts[0]).is_some());
+        }
+        let router = net.router();
+        assert!(
+            router.core_nodes() < hosts.len(),
+            "{} core nodes for {} hosts: a tree per source would fit too",
+            router.core_nodes(),
+            hosts.len()
+        );
+        assert!(router.cached_trees() <= router.core_nodes());
+    }
+
+    #[test]
     fn remote_island_routes_through_major_hub() {
         let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
         let w = WorldNet::build(atlas, WorldNetConfig::default());

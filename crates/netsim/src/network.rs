@@ -40,7 +40,7 @@ pub const DEFAULT_PROBE_TIMEOUT_MS: f64 = 2_000.0;
 ///
 /// Topology and routing are `Arc`-shared so [`fork`](Network::fork) can
 /// hand out independent measurement handles over the same world without
-/// copying the graph or the Dijkstra cache.
+/// copying the graph or the route cache.
 pub struct Network {
     topo: Arc<Topology>,
     router: Arc<Router>,
@@ -93,7 +93,7 @@ impl Network {
 
     /// An independent measurement handle over the same world.
     ///
-    /// The fork shares the topology, the router's Dijkstra cache, and
+    /// The fork shares the topology, the router's route cache, and
     /// the delay model (all `Arc`; all read-only during runs, so sharing
     /// across threads cannot change any result), inherits the parent's
     /// clock, and starts a **fresh RNG stream** from `seed`. Probing
@@ -170,12 +170,19 @@ impl Network {
         &self.topo
     }
 
-    /// Mutable topology access; invalidates the routing cache. If forks
-    /// of this network are alive the topology is copied-on-write — forks
-    /// keep seeing the world as it was when they were taken.
+    /// Mutable topology access. This handle gets a fresh router (the old
+    /// one may be shared with forks, whose routes must not change). If
+    /// forks of this network are alive the topology is copied-on-write —
+    /// forks keep seeing the world as it was when they were taken.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        self.router.invalidate();
+        self.router = Arc::new(Router::new());
         Arc::make_mut(&mut self.topo)
+    }
+
+    /// The router, for tests that inspect its cache.
+    #[cfg(test)]
+    pub(crate) fn router(&self) -> &Router {
+        &self.router
     }
 
     /// The delay model in force.
@@ -820,6 +827,16 @@ mod tests {
             fork.tcp_connect_rtt(client, lm, 80).is_some(),
             "fork must keep its copy-on-write view of the world"
         );
+    }
+
+    #[test]
+    fn fork_topology_edit_does_not_reroute_the_parent() {
+        let (parent, client, proxy, _) = net();
+        let hops = parent.path_delays(client, proxy).unwrap().hops;
+        let mut fork = parent.fork(1);
+        fork.topology_mut().add_link(client, proxy, 1.0);
+        assert_eq!(fork.path_delays(client, proxy).unwrap().hops, 1);
+        assert_eq!(parent.path_delays(client, proxy).unwrap().hops, hops);
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Network topology: nodes (routers, IXPs, hosts), links, adjacency.
 //!
-//! The topology is a flat graph. By convention (enforced by the builder,
-//! relied on by routing): backbone nodes (routers/IXPs) interconnect
-//! freely; a host has exactly one access link to a backbone node.
+//! The topology is a flat graph. By convention (followed by the builder):
+//! backbone nodes (routers/IXPs) interconnect freely; a host has one
+//! access link, to a backbone node or to its own gateway. Routing relies
+//! on no such convention, only on the pendant-tree invariant of any
+//! graph: a tree hanging off the 2-core (what is left after repeatedly
+//! stripping degree-≤1 nodes) meets the rest of the graph at one cut
+//! vertex, so its routes follow the unique tree path. Hosts and gateways
+//! are such trees, which is why routing only runs Dijkstra on the core.
 
 use crate::policy::FilterPolicy;
 use geokit::GeoPoint;
