@@ -16,6 +16,10 @@ cargo test --no-run -q --release --offline --manifest-path perfbench/Cargo.toml
 # Lint gate: the workspace must be clippy-clean, warnings as errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Doc gate: rustdoc must be warning-free, so an intra-doc link to a
+# renamed or deleted item fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Every example must at least build; quickstart must actually run.
 cargo build --release --examples --offline
 cargo run -q --release --offline --example quickstart > /dev/null

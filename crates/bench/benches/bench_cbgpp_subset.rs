@@ -27,6 +27,7 @@ fn with_conflict(n: usize) -> Vec<RingConstraint> {
 fn bench_subset(c: &mut Criterion) {
     let mut group = c.benchmark_group("max_consistent_subset");
     group.sample_size(20);
+    let off = obs::Recorder::off();
     for res in [2.0, 1.0] {
         let mask = Region::full(GeoGrid::new(res));
         for n in [10usize, 25] {
@@ -37,7 +38,7 @@ fn bench_subset(c: &mut Criterion) {
                         black_box(&fast),
                         black_box(&mask),
                         FastPath::Snapped,
-                        None,
+                        &off,
                     )
                 })
             });
@@ -48,7 +49,7 @@ fn bench_subset(c: &mut Criterion) {
                         black_box(&slow),
                         black_box(&mask),
                         FastPath::Snapped,
-                        None,
+                        &off,
                     )
                 })
             });

@@ -5,8 +5,8 @@
 //! any byte difference, proving that the parallel audit engine changes
 //! nothing the study reports. Everything printed here must therefore be
 //! a pure function of the study seed: the perf telemetry block
-//! (`render_perf_telemetry`) is absent because it prints wall-clock
-//! span timings. The observability block, the deterministic half
+//! (`render_perf_telemetry`) is absent because it prints the worker
+//! count. The observability block, the deterministic half
 //! of the progress-snapshot stream, and the full JSONL event trace are
 //! included too: per-proxy event buffers and snapshot deltas are merged
 //! in proxy order, so they must be byte-identical at any thread count.

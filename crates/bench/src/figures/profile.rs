@@ -14,7 +14,7 @@ use crate::scale::StudyContext;
 use vpnstudy::report;
 
 /// Render the study run's span tree plus the wall-clock telemetry block
-/// (thread count, coarse span totals).
+/// (the thread count).
 pub fn profile_spans(ctx: &StudyContext) -> String {
     let mut out = report::render_profile(&ctx.results);
     out.push('\n');

@@ -137,10 +137,11 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
         b.iter(|| intersect_constraints(black_box(&disks), black_box(&mask)))
     }));
 
+    let off = obs::Recorder::off();
     let (bad, bad_mask) = inconsistent_disks();
     out.push(run_sampled("gate/counting_sweep", samples, |b| {
         b.iter(|| {
-            max_consistent_subset(black_box(&bad), black_box(&bad_mask), FastPath::Exact, None)
+            max_consistent_subset(black_box(&bad), black_box(&bad_mask), FastPath::Exact, &off)
         })
     }));
 
@@ -152,7 +153,7 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
                 black_box(&mixed),
                 &report.flagged,
                 black_box(&mixed_mask),
-                None,
+                &off,
             )
         })
     }));
@@ -376,7 +377,6 @@ pub fn baseline_from(measured: &[Sampled], threads: u64, git: Option<String>) ->
         threads,
         git,
         counters: Vec::new(),
-        wall_counters: Vec::new(),
         results: measured
             .iter()
             .map(|s| {

@@ -31,9 +31,8 @@
 //!   `cargo bench -- <filter>` subset) replaces that bench's previous
 //!   line in place and leaves the others, so the report always reflects
 //!   each bench's latest run exactly once.
-//! * `BENCH_<group>.json` — a machine-readable
-//!   [`BenchArtifact`](crate::artifact::BenchArtifact) per bench group
-//!   (median/p10/p90 ns, iteration counts, thread count, `git describe`
+//! * `BENCH_<group>.json` — a machine-readable [`BenchArtifact`] per
+//!   bench group (median/p10/p90 ns, iteration counts, thread count, `git describe`
 //!   when available, and recorder counters when the group captured one
 //!   via [`BenchmarkGroup::capture_recorder`]). Merged the same way.
 //!
@@ -315,11 +314,6 @@ impl Criterion {
             if let Some((_, rec)) = self.captured.iter().find(|(g, _)| *g == group) {
                 artifact.counters = rec
                     .counters()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                artifact.wall_counters = rec
-                    .wall_counters()
                     .into_iter()
                     .map(|(k, v)| (k.to_string(), v))
                     .collect();

@@ -45,7 +45,7 @@ impl Geolocator for Hybrid {
         // Same weight-based multilateration as Quasi-Octant (§3.4: the
         // hybrid borrows "Quasi-Octant's ring-based multilateration").
         Prediction {
-            region: max_consistent_subset(&constraints, mask, FastPath::Exact, None).region,
+            region: max_consistent_subset(&constraints, mask, FastPath::Exact, &obs::Recorder::off()).region,
         }
     }
 }

@@ -33,7 +33,7 @@ impl Geolocator for QuasiOctant {
         // degrades to a (wrong) region rather than to nothing when noisy
         // rings conflict, which is the behaviour Fig. 9 shows.
         Prediction {
-            region: max_consistent_subset(&constraints, mask, FastPath::Exact, None).region,
+            region: max_consistent_subset(&constraints, mask, FastPath::Exact, &obs::Recorder::off()).region,
         }
     }
 }

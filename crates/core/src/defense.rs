@@ -22,8 +22,7 @@
 //!    and each group located independently with CBG++. Honest data
 //!    agrees from any subset of landmarks; shaped data that leans on a
 //!    few poisoned readings does not survive their separation.
-//! 4. **Side-channel evidence** from
-//!    [`MeasurementDiagnostics`](crate::reliability::MeasurementDiagnostics):
+//! 4. **Side-channel evidence** from [`MeasurementDiagnostics`]:
 //!    physically impossible corrected RTTs (negative tunnel-leg
 //!    subtraction — the self-ping-inflation signature) and an
 //!    implausible excess of dead landmarks (the selective-timeout
@@ -235,7 +234,7 @@ pub fn run_defense(
     // 2. Trimmed robust subset over the unflagged disks: anything the
     // subset search *still* discards is named (but on its own it is the
     // ordinary underestimation CBG++ tolerates, not evidence).
-    let robust = robust_max_consistent_subset(&disks, &pairwise.flagged, mask, Some(rec));
+    let robust = robust_max_consistent_subset(&disks, &pairwise.flagged, mask, rec);
     report.trimmed = robust.discarded.len();
 
     // 3. Disjoint-subset quorum over the unflagged observations.

@@ -1,9 +1,8 @@
 //! Outlier-robust multilateration: the Byzantine half of the subset
 //! search.
 //!
-//! [`max_consistent_subset`](crate::multilateration::max_consistent_subset)
-//! already tolerates *underestimating* disks — it keeps the largest
-//! agreeing subset. But an **active** adversary (see
+//! [`max_consistent_subset`] already tolerates *underestimating* disks
+//! — it keeps the largest agreeing subset. But an **active** adversary (see
 //! `netsim::adversary`) does not merely underestimate: it shapes
 //! readings so that a large, mutually-consistent, *wrong* subset exists,
 //! or deflates a minority of colluding landmarks until their disks
@@ -82,7 +81,7 @@ fn geometric_key(c: &RingConstraint) -> (u64, u64, u64, u64) {
 ///
 /// Conflicts are cleared greedily: repeatedly flag the constraint
 /// involved in the most remaining conflicts, breaking ties by
-/// [`geometric_key`] (never by input index), until the remainder is
+/// `geometric_key` (never by input index), until the remainder is
 /// pairwise consistent. The flagged *set* is therefore invariant under
 /// permutation of the input (the property test pins this).
 pub fn pairwise_infeasible_flags(constraints: &[RingConstraint]) -> PairwiseReport {
@@ -173,7 +172,7 @@ pub fn robust_max_consistent_subset(
     constraints: &[RingConstraint],
     flagged: &[bool],
     mask: &Region,
-    rec: Option<&obs::Recorder>,
+    rec: &obs::Recorder,
 ) -> RobustSubsetResult {
     assert_eq!(constraints.len(), flagged.len(), "flag/constraint mismatch");
     let kept_idx: Vec<usize> = (0..constraints.len()).filter(|&i| !flagged[i]).collect();
@@ -281,8 +280,8 @@ mod tests {
         let mask = Region::full(grid);
         let cs = vec![disk(50.0, 8.0, 800.0), disk(48.0, 12.0, 800.0)];
         let flags = vec![false, false];
-        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None);
-        let plain = max_consistent_subset(&cs, &mask, FastPath::Snapped, None);
+        let robust = robust_max_consistent_subset(&cs, &flags, &mask, &obs::Recorder::off());
+        let plain = max_consistent_subset(&cs, &mask, FastPath::Snapped, &obs::Recorder::off());
         assert_eq!(robust.satisfied, plain.satisfied);
         assert_eq!(robust.excluded, 0);
         assert!(robust.discarded.is_empty());
@@ -302,7 +301,7 @@ mod tests {
         ];
         let report = pairwise_infeasible_flags(&cs);
         assert!(report.flagged[2]);
-        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, None);
+        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, &obs::Recorder::off());
         assert_eq!(robust.excluded, 1);
         assert!(robust.region.contains_point(&GeoPoint::new(48.0, 11.0)));
         assert!(!robust.region.contains_point(&GeoPoint::new(-30.0, -20.0)));
@@ -321,7 +320,7 @@ mod tests {
             disk(-30.0, -20.0, 300.0),
         ];
         let flags = vec![false, false, false];
-        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None);
+        let robust = robust_max_consistent_subset(&cs, &flags, &mask, &obs::Recorder::off());
         assert_eq!(robust.satisfied, 2);
         assert_eq!(robust.excluded, 0);
         assert_eq!(robust.discarded, vec![2]);

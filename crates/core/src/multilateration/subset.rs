@@ -47,14 +47,15 @@ pub enum FastPath {
 /// `fast_path` picks how the full set is intersected when it is
 /// consistent; `rec` receives wall-clock profile spans
 /// (`subset.intersect` around the full-set intersection,
-/// `subset.counting_sweep` around the inconsistent-set sweep).
+/// `subset.counting_sweep` around the inconsistent-set sweep); pass
+/// [`obs::Recorder::off`] to skip them.
 ///
 /// With no constraints, the whole mask is trivially consistent.
 pub fn max_consistent_subset(
     constraints: &[RingConstraint],
     mask: &Region,
     fast_path: FastPath,
-    rec: Option<&obs::Recorder>,
+    rec: &obs::Recorder,
 ) -> SubsetResult {
     let total = constraints.len();
     if total == 0 {
@@ -67,7 +68,7 @@ pub fn max_consistent_subset(
 
     // Fast path: all constraints already agree somewhere.
     let all = {
-        let _span = rec.map(|r| r.profile_span("subset.intersect"));
+        let _span = rec.profile_span("subset.intersect");
         match fast_path {
             FastPath::Exact => intersect_constraints(constraints, mask),
             FastPath::Snapped => {
@@ -86,7 +87,7 @@ pub fn max_consistent_subset(
             total,
         };
     }
-    let _span = rec.map(|r| r.profile_span("subset.counting_sweep"));
+    let _span = rec.profile_span("subset.counting_sweep");
     counting_sweep(constraints, mask)
 }
 
@@ -193,7 +194,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(50.0, 5.0), 1000.0),
             RingConstraint::disk(GeoPoint::new(50.0, 10.0), 1000.0),
         ];
-        let r = max_consistent_subset(&cs, &m, FastPath::Exact, None);
+        let r = max_consistent_subset(&cs, &m, FastPath::Exact, &obs::Recorder::off());
         assert_eq!(r.satisfied, 2);
         assert!(!r.region.is_empty());
     }
@@ -208,7 +209,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(50.0, 10.0), 800.0),
             RingConstraint::disk(GeoPoint::new(-20.0, -150.0), 500.0),
         ];
-        let r = max_consistent_subset(&cs, &m, FastPath::Exact, None);
+        let r = max_consistent_subset(&cs, &m, FastPath::Exact, &obs::Recorder::off());
         assert_eq!(r.satisfied, 2);
         assert!(r.region.contains_point(&GeoPoint::new(50.0, 7.5)));
         assert!(!r.region.contains_point(&GeoPoint::new(-20.0, -150.0)));
@@ -225,7 +226,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(-30.0, 140.0), 700.0),
             RingConstraint::disk(GeoPoint::new(-30.0, 144.0), 700.0),
         ];
-        let r = max_consistent_subset(&cs, &m, FastPath::Exact, None);
+        let r = max_consistent_subset(&cs, &m, FastPath::Exact, &obs::Recorder::off());
         assert_eq!(r.satisfied, 2);
         assert!(r.region.contains_point(&GeoPoint::new(50.0, 7.0)));
         assert!(r.region.contains_point(&GeoPoint::new(-30.0, 142.0)));
@@ -234,7 +235,7 @@ mod tests {
     #[test]
     fn empty_constraints_return_mask() {
         let m = mask();
-        let r = max_consistent_subset(&[], &m, FastPath::Exact, None);
+        let r = max_consistent_subset(&[], &m, FastPath::Exact, &obs::Recorder::off());
         assert_eq!(r.satisfied, 0);
         assert_eq!(r.region.cell_count(), m.cell_count());
     }
@@ -264,7 +265,7 @@ mod tests {
             RingConstraint::disk(GeoPoint::new(50.0, 8.0), 500.0),
             RingConstraint::disk(GeoPoint::new(-25.0, 135.0), 500.0),
         ];
-        let r = max_consistent_subset(&cs, &mask, FastPath::Exact, None);
+        let r = max_consistent_subset(&cs, &mask, FastPath::Exact, &obs::Recorder::off());
         assert_eq!(r.satisfied, 1);
         assert!(r.region.contains_point(&GeoPoint::new(-25.0, 135.0)));
     }

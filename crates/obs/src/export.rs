@@ -152,14 +152,6 @@ impl MetricSet {
             .insert(key, Scalar::F(value));
     }
 
-    /// Set the gauge sample `name{labels}` to an exact integer.
-    pub fn set_gauge_u64(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        let key = owned_labels(labels);
-        self.family(name, MetricKind::Gauge, help)
-            .scalars
-            .insert(key, Scalar::U(value));
-    }
-
     /// Merge `hist` into the histogram sample `name{labels}`.
     pub fn add_hist(&mut self, name: &str, help: &str, labels: &[(&str, &str)], hist: &Hist) {
         let key = owned_labels(labels);
@@ -627,9 +619,8 @@ fn parse_sample(line: &str) -> Result<ParsedSample, String> {
 ///
 /// * deterministic counters and histograms (pre-seeded at zero for every
 ///   registered series, so the exported schema is run-independent),
-/// * wall counters,
-/// * wall-span and profile-tree stats under the dynamic
-///   `pv_span_*`/`pv_wall_span_*` families (`path`/`name` labels).
+/// * profile-tree stats under the dynamic `pv_span_*` families (`path`
+///   label).
 ///
 /// Errors on a counter or histogram name that is not in the registry —
 /// the build-breaking teeth behind the "register your metric" rule.
@@ -637,13 +628,6 @@ pub fn recorder_metrics(rec: &crate::Recorder) -> Result<MetricSet, String> {
     let mut set = MetricSet::new();
     for def in registry::COUNTERS {
         set.add_counter(def.family, def.help, def.labels, 0);
-    }
-    for def in registry::WALL_COUNTERS {
-        match def.kind {
-            MetricKind::Counter => set.add_counter(def.family, def.help, def.labels, 0),
-            MetricKind::Gauge => set.set_gauge_u64(def.family, def.help, def.labels, 0),
-            MetricKind::Histogram => unreachable!("wall counters are scalar"),
-        }
     }
     for (raw, v) in rec.counters() {
         let def = registry::counter(raw)
@@ -654,29 +638,6 @@ pub fn recorder_metrics(rec: &crate::Recorder) -> Result<MetricSet, String> {
         let def = registry::hist(raw)
             .ok_or_else(|| format!("unregistered histogram {raw:?}: add it to obs::registry"))?;
         set.add_hist(def.family, def.help, def.labels, &h);
-    }
-    for (raw, v) in rec.wall_counters() {
-        let def = registry::wall_counter(raw)
-            .ok_or_else(|| format!("unregistered wall counter {raw:?}: add it to obs::registry"))?;
-        match def.kind {
-            MetricKind::Counter => set.add_counter(def.family, def.help, def.labels, v),
-            MetricKind::Gauge => set.set_gauge_u64(def.family, def.help, def.labels, v),
-            MetricKind::Histogram => unreachable!("wall counters are scalar"),
-        }
-    }
-    for (name, w) in rec.wall_spans() {
-        set.add_counter(
-            "pv_wall_span_calls_total",
-            "Completed wall-clock spans by name.",
-            &[("name", name)],
-            w.count,
-        );
-        set.set_gauge(
-            "pv_wall_span_seconds_total",
-            "Summed wall-clock span time by name.",
-            &[("name", name)],
-            w.total_ns as f64 / 1e9,
-        );
     }
     for (path, p) in rec.profile() {
         let path = path.as_str();
@@ -844,7 +805,6 @@ mod tests {
         rec.count("net.probe.sent", 7);
         rec.count("net.probe.timeout", 2);
         rec.record("net.probe.rtt_us", 1500);
-        rec.wall_count("audit.threads", 3);
         let set = recorder_metrics(&rec).expect("all names registered");
         assert_eq!(set.value("pv_probe_total", &[("outcome", "sent")]), Some(7.0));
         assert_eq!(
@@ -856,7 +816,6 @@ mod tests {
             set.value("pv_probe_total", &[("outcome", "completed")]),
             Some(0.0)
         );
-        assert_eq!(set.value("pv_audit_threads", &[]), Some(3.0));
         assert!(set.hist("pv_probe_rtt_microseconds", &[]).is_some());
         assert!(set.lint_against_registry().is_empty());
 
@@ -870,13 +829,12 @@ mod tests {
     fn deterministic_subset_excludes_wall_families() {
         let rec = Recorder::new(Level::Counters);
         rec.count("net.probe.sent", 1);
-        rec.wall_count("audit.threads", 1);
-        drop(rec.span("w"));
+        drop(rec.profile_span("w"));
         let set = recorder_metrics(&rec).unwrap();
+        assert!(set.render().contains("pv_span_calls_total"));
         let det = set.render_filtered(deterministic_family);
         assert!(det.contains("pv_probe_total"));
-        assert!(!det.contains("pv_audit_threads"), "wall family leaked:\n{det}");
-        assert!(!det.contains("pv_wall_span"), "span family leaked:\n{det}");
+        assert!(!det.contains("pv_span_"), "span family leaked:\n{det}");
         assert!(parse_exposition(&det).is_ok(), "subset must still parse");
     }
 

@@ -18,14 +18,15 @@
 //!   [`Hist`]ograms. These participate in the JSONL trace export
 //!   ([`Recorder::events_jsonl`]) and the rendered observability report,
 //!   both of which CI byte-diffs across `PV_THREADS` values.
-//! * **Wall-clock** — [`Span`] timings (`std::time::Instant`) and
-//!   run-machinery tallies ([`Recorder::wall_count`], e.g. the worker
-//!   count). These are performance telemetry, rendered in their own
-//!   section; span timings are never included in determinism diffs.
+//! * **Wall-clock** — hierarchical [`ProfileSpan`] timings
+//!   (`std::time::Instant`). These are performance telemetry, rendered
+//!   in their own section and never included in determinism diffs. The
+//!   worker count is not recorded here: the audit reports it on its own
+//!   results (`StudyResults::threads`).
 //!
 //! ## Hierarchical profiling
 //!
-//! The wall compartment also carries a span *tree*:
+//! The profiler is the only wall-clock timer:
 //! [`Recorder::profile_span`] tracks parent/child relationships through
 //! a thread-local stack, so nested spans accumulate under a
 //! `/`-separated path (`audit.proxy/audit.locate/subset.intersect`).
@@ -64,13 +65,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How much the recorder keeps. Levels are cumulative: `Events` implies
-/// `Counters`. Wall-clock spans and wall counters are recorded at any
-/// level except `Off`.
+/// `Counters`. Profile spans are recorded at any level except `Off`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Level {
     /// Record nothing at all.
     Off,
-    /// Counters, histograms, and wall-clock telemetry only.
+    /// Counters, histograms, and profile spans only.
     Counters,
     /// Everything: structured events plus all of the above (the
     /// default).
@@ -330,26 +330,6 @@ impl Hist {
     }
 }
 
-/// Accumulated wall-clock timing for one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WallStat {
-    /// Completed spans.
-    pub count: u64,
-    /// Summed wall time, nanoseconds.
-    pub total_ns: u128,
-}
-
-impl WallStat {
-    /// Mean span duration, milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-}
-
 /// Aggregated wall-clock timing for one profile-tree path (see
 /// [`Recorder::profile_span`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -378,8 +358,6 @@ struct Buffers {
     events: Vec<Event>,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
-    wall_spans: BTreeMap<&'static str, WallStat>,
-    wall_counters: BTreeMap<&'static str, u64>,
     profile: BTreeMap<String, ProfileStat>,
 }
 
@@ -467,7 +445,7 @@ impl Recorder {
 
     /// Fold a forked child's buffers into this recorder: events are
     /// appended in the child's order, counters and histograms merge
-    /// additively, wall telemetry sums. Call in a deterministic order
+    /// additively, profile stats sum. Call in a deterministic order
     /// (the caller's item order, never completion order) to keep the
     /// merged event stream scheduling-independent.
     pub fn absorb(&self, child: &Recorder) {
@@ -484,14 +462,6 @@ impl Recorder {
         }
         for (k, h) in taken.hists {
             inner.hists.entry(k).or_default().merge(&h);
-        }
-        for (k, w) in taken.wall_spans {
-            let e = inner.wall_spans.entry(k).or_default();
-            e.count += w.count;
-            e.total_ns += w.total_ns;
-        }
-        for (k, v) in taken.wall_counters {
-            *inner.wall_counters.entry(k).or_insert(0) += v;
         }
         for (k, p) in taken.profile {
             inner.profile.entry(k).or_default().merge(&p);
@@ -631,52 +601,7 @@ impl Recorder {
         out
     }
 
-    // --- wall-clock side ---------------------------------------------------
-
-    /// Start timing a wall-clock span; the elapsed time is recorded when
-    /// the returned guard drops. Wall spans are performance telemetry:
-    /// they never enter the deterministic trace or its diffs.
-    pub fn span(&self, name: &'static str) -> Span {
-        if self.level == Level::Off {
-            return Span { sink: None };
-        }
-        Span {
-            sink: Some((Arc::clone(&self.inner), name, Instant::now())),
-        }
-    }
-
-    /// Add `n` to the wall-side counter `name` — telemetry about the
-    /// run's machinery (the worker count) rather than the
-    /// study's findings.
-    pub fn wall_count(&self, name: &'static str, n: u64) {
-        if self.level == Level::Off {
-            return;
-        }
-        *self.lock().wall_counters.entry(name).or_insert(0) += n;
-    }
-
-    /// The wall-side counter `name` (0 if never touched).
-    pub fn wall_counter(&self, name: &str) -> u64 {
-        self.lock().wall_counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Snapshot of all wall-side counters, sorted by name.
-    pub fn wall_counters(&self) -> Vec<(&'static str, u64)> {
-        self.lock()
-            .wall_counters
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// Snapshot of all wall-span accumulators, sorted by name.
-    pub fn wall_spans(&self) -> Vec<(&'static str, WallStat)> {
-        self.lock()
-            .wall_spans
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
+    // --- wall-clock side: the profiler --------------------------------------
 
     /// Start a hierarchical wall-clock profile span named `name`.
     ///
@@ -762,14 +687,6 @@ impl Recorder {
     pub fn render_profile(&self) -> String {
         render_profile_from(&self.profile())
     }
-
-    /// Render the wall-clock side: span timings sorted by total time
-    /// descending (name tiebreak), then wall counters by name.
-    /// **Scheduling-dependent by design** — keep out of determinism
-    /// diffs.
-    pub fn render_wall(&self) -> String {
-        render_wall_from(&self.wall_spans(), &self.wall_counters())
-    }
 }
 
 /// Render a profile snapshot (as returned by [`Recorder::profile`]) as
@@ -841,46 +758,6 @@ pub fn render_profile_from(entries: &[(String, ProfileStat)]) -> String {
     out
 }
 
-/// Render wall-span and wall-counter snapshots as the text block of
-/// [`Recorder::render_wall`]: spans sorted by total wall time
-/// descending (name tiebreak, so equal-cost spans are still
-/// machine-diffable run-to-run), counters by name.
-pub fn render_wall_from(spans: &[(&'static str, WallStat)], counters: &[(&'static str, u64)]) -> String {
-    let mut spans = spans.to_vec();
-    spans.sort_by(|(an, a), (bn, b)| b.total_ns.cmp(&a.total_ns).then(an.cmp(bn)));
-    let mut out = String::new();
-    for (k, w) in &spans {
-        let _ = writeln!(
-            out,
-            "{k:<34} {:>8} x {:>10.3} ms = {:>10.1} ms",
-            w.count,
-            w.mean_ms(),
-            w.total_ns as f64 / 1e6
-        );
-    }
-    for (k, v) in counters {
-        let _ = writeln!(out, "{k:<34} {v:>10}");
-    }
-    out
-}
-
-/// Guard for one wall-clock span (see [`Recorder::span`]).
-pub struct Span {
-    sink: Option<(Arc<Mutex<Buffers>>, &'static str, Instant)>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((inner, name, start)) = self.sink.take() {
-            let elapsed = start.elapsed().as_nanos();
-            let mut buf = inner.lock().expect("recorder poisoned");
-            let e = buf.wall_spans.entry(name).or_default();
-            e.count += 1;
-            e.total_ns += elapsed;
-        }
-    }
-}
-
 /// Guard for one hierarchical profile span (see
 /// [`Recorder::profile_span`]). Dropping it closes the span and every
 /// not-yet-closed span opened under it on the same thread.
@@ -946,13 +823,11 @@ mod tests {
         r.event("t", "e", vec![("k", Value::U64(1))]);
         r.count("c", 5);
         r.record("h", 9);
-        r.wall_count("w", 2);
-        drop(r.span("s"));
+        drop(r.profile_span("s"));
         assert_eq!(r.events_len(), 0);
         assert_eq!(r.counter("c"), 0);
         assert!(r.hist("h").is_none());
-        assert_eq!(r.wall_counter("w"), 0);
-        assert!(r.wall_spans().is_empty());
+        assert!(r.profile().is_empty());
     }
 
     #[test]
@@ -990,7 +865,6 @@ mod tests {
         kid_b.event_at(9, "a", "third", vec![]);
         kid_b.count("c", 10);
         kid_b.record("h", 100);
-        kid_b.wall_count("w", 1);
         kid_a.event_at(7, "a", "second", vec![]);
         kid_a.count("c", 5);
         kid_a.record("h", 2);
@@ -998,7 +872,6 @@ mod tests {
         root.absorb(&kid_a);
         root.absorb(&kid_b);
         assert_eq!(root.counter("c"), 16);
-        assert_eq!(root.wall_counter("w"), 1);
         let h = root.hist("h").unwrap();
         assert_eq!((h.count, h.min, h.max, h.sum), (2, 2, 100, 102));
         root.with_events(|ev| {
@@ -1035,22 +908,6 @@ mod tests {
         assert_eq!(h.count, 8);
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1023);
-    }
-
-    #[test]
-    fn span_records_wall_time() {
-        let r = Recorder::new(Level::Counters);
-        {
-            let _s = r.span("work");
-            std::hint::black_box(0u64);
-        }
-        {
-            let _s = r.span("work");
-        }
-        let spans = r.wall_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "work");
-        assert_eq!(spans[0].1.count, 2);
     }
 
     #[test]
@@ -1108,34 +965,6 @@ mod tests {
         assert_eq!((h.min, h.max, h.sum), (u64::MAX, u64::MAX, u64::MAX));
         // The rendered bucket floor is 2^63, which must not overflow.
         assert!(h.render_line().contains(&format!("{}:1", 1u64 << 63)));
-    }
-
-    #[test]
-    fn wallstat_accumulates_across_spans_and_absorb() {
-        let r = Recorder::new(Level::Counters);
-        drop(r.span("w"));
-        drop(r.span("w"));
-        let child = r.fork();
-        drop(child.span("w"));
-        r.absorb(&child);
-        let stat = r
-            .wall_spans()
-            .into_iter()
-            .find(|(k, _)| *k == "w")
-            .map(|(_, s)| s)
-            .unwrap();
-        assert_eq!(stat.count, 3);
-        let each = WallStat {
-            count: 1,
-            total_ns: 7,
-        };
-        let mut acc = WallStat::default();
-        assert_eq!(acc.mean_ms(), 0.0);
-        for _ in 0..4 {
-            acc.count += each.count;
-            acc.total_ns += each.total_ns;
-        }
-        assert_eq!((acc.count, acc.total_ns), (4, 28));
     }
 
     #[test]
@@ -1295,23 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn render_wall_orders_spans_by_total_time_then_name() {
-        let w = |count, total_ns| WallStat { count, total_ns };
-        let spans = vec![
-            ("a.cheap", w(9, 100)),
-            ("z.hot", w(1, 9_000)),
-            ("m.tie", w(1, 100)),
-        ];
-        let counters = vec![("a.count", 1u64), ("z.count", 2u64)];
-        let txt = render_wall_from(&spans, &counters);
-        let pos = |needle: &str| txt.find(needle).unwrap_or_else(|| panic!("{needle} missing:\n{txt}"));
-        assert!(pos("z.hot") < pos("a.cheap"), "{txt}");
-        assert!(pos("a.cheap") < pos("m.tie"), "tie must break by name:\n{txt}");
-        assert!(pos("m.tie") < pos("a.count"), "counters render after spans:\n{txt}");
-        assert!(pos("a.count") < pos("z.count"), "{txt}");
-    }
-
-    #[test]
     fn hist_quantile_empty_is_none() {
         let h = Hist::default();
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
@@ -1401,7 +1213,5 @@ mod tests {
         let z = det.find("z.last").unwrap();
         assert!(a < z, "counters not sorted:\n{det}");
         assert!(det.contains("m.hist"));
-        r.wall_count("w.c", 1);
-        assert!(r.render_wall().contains("w.c"));
     }
 }

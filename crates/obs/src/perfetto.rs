@@ -1,9 +1,9 @@
 //! Perfetto / Chrome trace-event export.
 //!
-//! Serializes a [`Recorder`](crate::Recorder)'s hierarchical profile
-//! tree and its sim-clock event stream to the catapult trace-event JSON
-//! format, so a study run opens directly in [Perfetto]
-//! (`ui.perfetto.dev`) or `chrome://tracing`.
+//! Serializes a [`Recorder`]'s hierarchical profile tree and its
+//! sim-clock event stream to the catapult trace-event JSON format, so a
+//! study run opens directly in [Perfetto] (`ui.perfetto.dev`) or
+//! `chrome://tracing`.
 //!
 //! The profiler stores *aggregates* per tree path (count, cumulative
 //! ns, self ns), not individual span instants, so the export lays the
@@ -11,7 +11,7 @@
 //! (`"X"`) event whose duration is its cumulative time, children packed
 //! left-to-right inside their parent starting at the parent's start
 //! tick. Durations are real; start offsets are layout. Sim-clock
-//! [`Event`](crate::Event)s render as instant (`"i"`) events on their
+//! [`Event`]s render as instant (`"i"`) events on their
 //! own track at their simulated timestamp.
 //!
 //! [Perfetto]: https://perfetto.dev

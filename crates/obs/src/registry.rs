@@ -1,7 +1,8 @@
 //! The metric-name registry: the single source of truth mapping every
-//! raw [`Recorder`](crate::Recorder) counter, histogram, and wall
-//! counter emitted anywhere in the workspace onto a stable, linted
-//! OpenMetrics family name with fixed labels.
+//! raw [`Recorder`](crate::Recorder) counter and histogram emitted
+//! anywhere in the workspace, and every family an exporter derives at
+//! export time, onto a stable, linted OpenMetrics family name with
+//! fixed labels.
 //!
 //! Adding a new `rec.count("sub.thing", …)` call site anywhere in the
 //! workspace **requires** registering the name here — the exporter
@@ -14,7 +15,7 @@
 //! Families are split into two compartments. `Deterministic` families
 //! derive purely from the simulation (CI byte-diffs their rendered
 //! exposition across `PV_THREADS`); `Wall` families carry run-machinery
-//! telemetry (timings, thread counts) that legitimately
+//! telemetry (profile timings, the worker count) that legitimately
 //! varies run to run.
 
 use crate::export::{lint_metric_name, MetricKind};
@@ -33,7 +34,7 @@ pub enum Compartment {
 /// One registered raw recorder name and its exported identity.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricDef {
-    /// The raw name passed to `Recorder::count`/`record`/`wall_count`.
+    /// The raw name passed to `Recorder::count`/`record`.
     pub raw: &'static str,
     /// The exported OpenMetrics family.
     pub family: &'static str,
@@ -221,24 +222,8 @@ pub const HISTS: &[MetricDef] = &[
     ),
 ];
 
-/// Wall-side counters: every `Recorder::wall_count` name.
-pub const WALL_COUNTERS: &[MetricDef] = &[
-    MetricDef {
-        raw: "audit.threads",
-        family: "pv_audit_threads",
-        labels: &[],
-        kind: MetricKind::Gauge,
-        compartment: Compartment::Wall,
-        help: "Worker threads the audit fanned out over.",
-    },
-];
-
 /// Families whose label values are only known at export time.
 pub const DYNAMIC: &[DynamicDef] = &[
-    dyn_def("pv_wall_span_calls_total", MetricKind::Counter, &["name"], Compartment::Wall,
-        "Completed wall-clock spans by name."),
-    dyn_def("pv_wall_span_seconds_total", MetricKind::Gauge, &["name"], Compartment::Wall,
-        "Summed wall-clock span time by name."),
     dyn_def("pv_span_calls_total", MetricKind::Counter, &["path"], Compartment::Wall,
         "Completed profile spans by tree path."),
     dyn_def("pv_span_seconds_total", MetricKind::Gauge, &["path"], Compartment::Wall,
@@ -259,6 +244,8 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Urgent-priority verdicts overdue for revalidation in the store."),
     dyn_def("pv_store_epochs", MetricKind::Gauge, &[], Compartment::Wall,
         "Study epochs recorded in the verdict store."),
+    dyn_def("pv_audit_threads", MetricKind::Gauge, &[], Compartment::Wall,
+        "Worker threads the audit fanned out over."),
     dyn_def("pv_audit_elapsed_ms", MetricKind::Gauge, &[], Compartment::Wall,
         "Wall-clock milliseconds the audit run took."),
     dyn_def("pv_eta_ms", MetricKind::Gauge, &[], Compartment::Wall,
@@ -326,11 +313,6 @@ pub fn hist(raw: &str) -> Option<&'static MetricDef> {
     HISTS.iter().find(|d| d.raw == raw)
 }
 
-/// The registered identity of the wall counter `raw`, if any.
-pub fn wall_counter(raw: &str) -> Option<&'static MetricDef> {
-    WALL_COUNTERS.iter().find(|d| d.raw == raw)
-}
-
 /// Aggregated, family-level view of the registry.
 #[derive(Debug, Clone)]
 pub struct FamilyInfo {
@@ -348,7 +330,7 @@ fn family_map() -> &'static BTreeMap<&'static str, FamilyInfo> {
     static MAP: OnceLock<BTreeMap<&'static str, FamilyInfo>> = OnceLock::new();
     MAP.get_or_init(|| {
         let mut map: BTreeMap<&'static str, FamilyInfo> = BTreeMap::new();
-        for d in COUNTERS.iter().chain(HISTS).chain(WALL_COUNTERS) {
+        for d in COUNTERS.iter().chain(HISTS) {
             let info = map.entry(d.family).or_insert_with(|| FamilyInfo {
                 kind: d.kind,
                 label_keys: Vec::new(),
@@ -388,8 +370,8 @@ pub fn family_names() -> Vec<&'static str> {
 ///
 /// Rules enforced:
 /// 1. every family name is `pv_`-prefixed lowercase snake_case;
-/// 2. raw recorder names are globally unique across the counter,
-///    histogram, and wall tables;
+/// 2. raw recorder names are globally unique across the counter and
+///    histogram tables;
 /// 3. no two static defs collide on `(family, labels)`;
 /// 4. a family never mixes kinds, compartments, or label-key sets;
 /// 5. label cardinality stays sane: at most one label key per family
@@ -397,7 +379,7 @@ pub fn family_names() -> Vec<&'static str> {
 /// 6. every entry has help text.
 pub fn lint() -> Vec<String> {
     let mut problems = Vec::new();
-    let statics: Vec<&MetricDef> = COUNTERS.iter().chain(HISTS).chain(WALL_COUNTERS).collect();
+    let statics: Vec<&MetricDef> = COUNTERS.iter().chain(HISTS).collect();
 
     let mut raws = BTreeMap::new();
     for d in &statics {
@@ -516,9 +498,6 @@ mod tests {
         }
         for d in HISTS {
             assert!(hist(d.raw).is_some(), "{}", d.raw);
-        }
-        for d in WALL_COUNTERS {
-            assert!(wall_counter(d.raw).is_some(), "{}", d.raw);
         }
         assert!(counter("no.such.counter").is_none());
     }

@@ -1,9 +1,10 @@
-//! Live progress snapshots for long-running audits.
+//! Progress snapshots for long-running audits.
 //!
-//! The audit drives a set of [`ProgressSink`]s at
-//! deterministic intervals — every `k` proxies in **global proxy
-//! order** — handing each a [`ProgressSnapshot`]. Snapshots carry two
-//! compartments, mirroring the [`Recorder`](crate::Recorder) split:
+//! The audit folds one [`ProxyStat`] per proxy through a
+//! [`SnapshotBuilder`] in **global proxy order** and keeps a
+//! [`ProgressSnapshot`] every `k` proxies (plus a final one) in
+//! `StudyResults::snapshots`. Snapshots carry two compartments,
+//! mirroring the [`Recorder`](crate::Recorder) split:
 //!
 //! * the **deterministic** fields (proxies done, probes sent, retries,
 //!   timeouts, per-outcome tallies, the sim-clock stamp) are a pure
@@ -15,13 +16,8 @@
 //!   trace;
 //! * the **wall** fields ([`WallProgress`]: elapsed, ETA) are genuine
 //!   operational telemetry and never appear in the deterministic
-//!   rendering.
-//!
-//! Two sinks ship in-tree: [`JsonlSink`] (line-per-snapshot, the thing
-//! `figures ops` writes to disk) and [`RingSink`] (bounded in-memory
-//! ring, the thing a live status endpoint would poll).
+//!   rendering ([`ProgressSnapshot::full_jsonl`] adds them).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// How one audited proxy resolved.
@@ -135,111 +131,6 @@ impl ProgressSnapshot {
             self.wall.elapsed_ms, self.wall.eta_ms
         );
         line
-    }
-}
-
-/// A consumer of progress snapshots. The audit master calls
-/// [`emit`](ProgressSink::emit) once per snapshot, in `seq` order.
-pub trait ProgressSink: Send {
-    /// Accept one snapshot.
-    fn emit(&mut self, snapshot: &ProgressSnapshot);
-}
-
-/// A shared handle counts as a sink: register
-/// `Box::new(Arc::new(Mutex::new(sink)))` and keep a clone, so the
-/// snapshots a run emits are readable after the run consumed the box.
-impl<S: ProgressSink> ProgressSink for std::sync::Arc<std::sync::Mutex<S>> {
-    fn emit(&mut self, snapshot: &ProgressSnapshot) {
-        self.lock().expect("progress sink poisoned").emit(snapshot);
-    }
-}
-
-/// Accumulates snapshots as JSONL text in memory.
-#[derive(Debug, Default)]
-pub struct JsonlSink {
-    /// Include the wall compartment in each line.
-    pub include_wall: bool,
-    text: String,
-}
-
-impl JsonlSink {
-    /// A sink rendering only the deterministic compartment.
-    pub fn deterministic() -> JsonlSink {
-        JsonlSink::default()
-    }
-
-    /// A sink rendering both compartments.
-    pub fn full() -> JsonlSink {
-        JsonlSink {
-            include_wall: true,
-            text: String::new(),
-        }
-    }
-
-    /// The accumulated JSONL document.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Consume the sink, returning the accumulated JSONL document.
-    pub fn into_text(self) -> String {
-        self.text
-    }
-}
-
-impl ProgressSink for JsonlSink {
-    fn emit(&mut self, snapshot: &ProgressSnapshot) {
-        self.text.push_str(&if self.include_wall {
-            snapshot.full_jsonl()
-        } else {
-            snapshot.deterministic_jsonl()
-        });
-    }
-}
-
-/// A bounded in-memory ring of the most recent snapshots.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    ring: VecDeque<ProgressSnapshot>,
-}
-
-impl RingSink {
-    /// A ring keeping at most `cap` snapshots (`cap` ≥ 1).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            ring: VecDeque::new(),
-        }
-    }
-
-    /// The newest snapshot, if any.
-    pub fn latest(&self) -> Option<&ProgressSnapshot> {
-        self.ring.back()
-    }
-
-    /// Snapshots currently held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &ProgressSnapshot> {
-        self.ring.iter()
-    }
-
-    /// Number of snapshots currently held.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
-impl ProgressSink for RingSink {
-    fn emit(&mut self, snapshot: &ProgressSnapshot) {
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(snapshot.clone());
     }
 }
 
@@ -370,25 +261,6 @@ mod tests {
             Some(120.0)
         );
         assert_eq!(parsed.get("insufficient").and_then(Json::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn sinks_accumulate_in_order() {
-        let mut jsonl = JsonlSink::deterministic();
-        let mut ring = RingSink::new(2);
-        let mut b = SnapshotBuilder::new(6, 1);
-        for node in 0..6u32 {
-            let s = b.push(&stat(node, 2, ProxyOutcome::Measured)).unwrap();
-            jsonl.emit(&s);
-            ring.emit(&s);
-        }
-        assert_eq!(jsonl.text().lines().count(), 6);
-        // The ring keeps only the two newest.
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.latest().unwrap().proxies_done, 6);
-        let dones: Vec<u64> = ring.iter().map(|s| s.proxies_done).collect();
-        assert_eq!(dones, [5, 6]);
-        assert!(!ring.is_empty());
     }
 
     #[test]

@@ -17,8 +17,7 @@ use geoloc::observation::Observation;
 use geoloc::twophase::{run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber};
 use netsim::{FilterPolicy, Network, NodeId, SimDuration, WorldNet, WorldNetConfig};
 use obs::snapshot::{
-    ProgressSink, ProgressSnapshot, ProxyOutcome as SnapshotOutcome, ProxyStat, SnapshotBuilder,
-    WallProgress,
+    ProgressSnapshot, ProxyOutcome as SnapshotOutcome, ProxyStat, SnapshotBuilder, WallProgress,
 };
 use obs::Recorder;
 use simrng::rngs::StdRng;
@@ -105,11 +104,13 @@ pub struct Study {
     pub client: NodeId,
     /// Plausibility mask for predictions.
     pub mask: Region,
-    /// Progress sinks the audit master drives at snapshot intervals
-    /// (registered via [`Study::add_progress_sink`], drained into the
-    /// next run).
-    progress_sinks: Vec<Box<dyn ProgressSink>>,
 }
+
+// Read-only fixtures share one built study across test threads.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<Study>();
+};
 
 /// Results of a full audit run.
 pub struct StudyResults {
@@ -126,8 +127,8 @@ pub struct StudyResults {
     pub unmeasured: usize,
     /// The study's observability recorder: per-proxy event buffers
     /// merged in proxy order (deterministic for any thread count), plus
-    /// the wall-clock compartment (timing spans and run-shape tallies
-    /// like the thread count) that must never enter a determinism diff.
+    /// the wall-clock profile tree that must never enter a determinism
+    /// diff.
     pub obs: Recorder,
     /// Worker count the audit actually ran with.
     pub threads: usize,
@@ -179,15 +180,7 @@ impl Study {
             survey,
             client,
             mask,
-            progress_sinks: Vec::new(),
         }
-    }
-
-    /// Register a progress sink for the next run. Sinks receive every
-    /// [`ProgressSnapshot`] in `seq` order (wall compartment filled) and
-    /// are drained by the run that consumes them.
-    pub fn add_progress_sink(&mut self, sink: Box<dyn ProgressSink>) {
-        self.progress_sinks.push(sink);
     }
 
     /// Run the audit over every deployed proxy on
@@ -307,14 +300,12 @@ impl Study {
         // Co-location group disambiguation (Fig. 16): within a group, the
         // true country must be common to every member's touched set.
         apply_group_disambiguation(&mut records);
-        recorder.wall_count("audit.threads", threads as u64);
 
-        // Drive the snapshot stream: the per-proxy stats are in proxy
+        // Build the snapshot stream: the per-proxy stats are in proxy
         // order, so the deterministic compartment of every snapshot is a
         // pure function of (seed, snapshot_every). Wall fields pro-rate
         // the run's elapsed time over the stream and never enter a
         // determinism diff.
-        let mut sinks = std::mem::take(&mut self.progress_sinks);
         let every = self.config.snapshot_every.max(1) as u64;
         let mut builder = SnapshotBuilder::new(proxy_stats.len() as u64, every);
         let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
@@ -325,9 +316,6 @@ impl Study {
                     elapsed_ms: done_ms,
                     eta_ms: elapsed_ms.saturating_sub(done_ms),
                 };
-                for sink in &mut sinks {
-                    sink.emit(&snap);
-                }
                 snapshots.push(snap);
             }
         }
@@ -579,19 +567,25 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
                 if seen {
                     continue;
                 }
+                // The sweep probes the raw prober, past the scheduler's
+                // sanitation, so it drops garbage readings the same way.
                 let reading = if lm.port_80_open {
                     scheduler.inner.probe(&mut net, lm.node)
                 } else {
                     scheduler.inner.probe_fallback(&mut net, lm.node)
                 };
                 match reading {
-                    Some(ms) => {
+                    Some(ms) if ms.is_finite() => {
                         swept_ok += 1;
                         defense_obs.push(Observation::new(
                             lm.location,
                             ms / 2.0,
                             server.calibration_for(id).clone(),
                         ));
+                    }
+                    Some(_) => {
+                        diagnostics.corrupt_readings += 1;
+                        rec.count("rel.corrupt_reading", 1);
                     }
                     None => swept_dead += 1,
                 }
@@ -939,26 +933,21 @@ impl StudyResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+    use std::sync::OnceLock;
 
-    /// The shared small study. `Study` is not `Sync` (its progress sinks
-    /// are only `Send`), so the fixture sits behind a mutex; a panicking
-    /// test must not poison it for the rest of the suite.
-    fn results() -> MutexGuard<'static, (Study, StudyResults)> {
-        static S: OnceLock<Mutex<(Study, StudyResults)>> = OnceLock::new();
+    /// The shared small study, built once and only read.
+    fn results() -> &'static (Study, StudyResults) {
+        static S: OnceLock<(Study, StudyResults)> = OnceLock::new();
         S.get_or_init(|| {
             let mut study = Study::build(StudyConfig::small(41));
             let results = study.run();
-            Mutex::new((study, results))
+            (study, results)
         })
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
     fn nearly_all_proxies_are_measured() {
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         assert!(
             res.records.len() + res.unmeasured == study.providers.proxies.len()
         );
@@ -972,8 +961,7 @@ mod tests {
 
     #[test]
     fn reliability_summary_accounts_for_every_proxy() {
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         let s = res.reliability_summary();
         assert_eq!(
             s.measured + s.insufficient + s.unmeasurable,
@@ -999,8 +987,7 @@ mod tests {
         // The audit.* counters are emitted at measurement time; the
         // summary is recounted from the records afterwards. They must
         // tell the same story or a layer is lying.
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         let s = res.reliability_summary();
         assert_eq!(res.obs.counter("audit.measured") as usize, s.measured);
         assert_eq!(
@@ -1027,8 +1014,7 @@ mod tests {
 
     #[test]
     fn trace_has_one_start_and_done_per_proxy_in_proxy_order() {
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         let n = study.providers.proxies.len();
         res.obs.with_events(|evs| {
             let starts: Vec<u64> = evs
@@ -1062,8 +1048,7 @@ mod tests {
 
     #[test]
     fn snapshot_stream_covers_every_proxy() {
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         let n = study.providers.proxies.len() as u64;
         let every = study.config.snapshot_every.max(1) as u64;
         let expected = (n / every) + u64::from(!n.is_multiple_of(every));
@@ -1103,51 +1088,47 @@ mod tests {
     }
 
     #[test]
-    fn progress_sinks_see_the_same_snapshots() {
-        use obs::snapshot::{JsonlSink, RingSink};
-        use std::sync::{Arc, Mutex};
-        let mut cfg = StudyConfig::small(41);
-        cfg.total_proxies = 12;
-        cfg.snapshot_every = 5;
-        let mut study = Study::build(cfg);
-        let jsonl = Arc::new(Mutex::new(JsonlSink::deterministic()));
-        let ring = Arc::new(Mutex::new(RingSink::new(2)));
-        study.add_progress_sink(Box::new(Arc::clone(&jsonl)));
-        study.add_progress_sink(Box::new(Arc::clone(&ring)));
-        let res = study.run_with_threads(2);
-        // 12 proxies, k=5 → snapshots at 5, 10, 12.
-        assert_eq!(res.snapshots.len(), 3);
-        assert_eq!(
-            jsonl.lock().unwrap().text(),
-            res.snapshots_jsonl(),
-            "sink saw different bytes than the stored stream"
-        );
-        let ring = ring.lock().unwrap();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.latest().unwrap().proxies_done, 12);
-    }
-
-    #[test]
     fn progress_wall_clock_runs_with_recording_off() {
-        use obs::snapshot::RingSink;
-        use std::sync::{Arc, Mutex};
         let mut cfg = StudyConfig::small(41);
         cfg.total_proxies = 12;
         cfg.obs_level = obs::Level::Off;
         let mut study = Study::build(cfg);
-        let ring = Arc::new(Mutex::new(RingSink::new(1)));
-        study.add_progress_sink(Box::new(Arc::clone(&ring)));
         let res = study.run_with_threads(1);
         // The profiler is a no-op at `Off`; the progress clock is not.
         assert!(res.obs.profile().is_empty());
-        let last = ring.lock().unwrap().latest().cloned().expect("a snapshot");
+        let last = res.snapshots.last().expect("a snapshot");
         assert!(last.wall.elapsed_ms > 0, "{:?}", last.wall);
     }
 
     #[test]
+    fn defended_audit_drops_corrupt_challenge_readings() {
+        // Every reading is garbage-prone: a NaN from the challenge sweep
+        // must be dropped and tallied like the scheduler's, not turned
+        // into an observation.
+        let mut cfg = StudyConfig::small(41);
+        cfg.total_proxies = 12;
+        cfg.defense.enabled = true;
+        let mut study = Study::build(cfg);
+        study.world.network_mut().faults_mut().set_corrupt_chance(1.0);
+        let res = study.run_with_threads(1);
+        assert_eq!(res.records.len() + res.failures.len(), 12);
+        assert!(
+            res.records.iter().any(|r| r.defense.is_some()),
+            "no proxy reached the defense sweep"
+        );
+        let tallied: usize = res
+            .records
+            .iter()
+            .map(|r| r.diagnostics.corrupt_readings)
+            .chain(res.failures.iter().map(|f| f.diagnostics.corrupt_readings))
+            .sum();
+        assert!(tallied > 0);
+        assert_eq!(res.obs.counter("rel.corrupt_reading") as usize, tallied);
+    }
+
+    #[test]
     fn profile_tree_covers_the_audit_stages() {
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         let n = study.providers.proxies.len();
         // Coordinator roots.
         assert_eq!(res.obs.profile_stat("audit.run").unwrap().count, 1);
@@ -1222,8 +1203,7 @@ mod tests {
 
     #[test]
     fn eta_is_estimated_near_half() {
-        let g = results();
-        let (_, res) = &*g;
+        let (_, res) = results();
         if let Some(eta) = res.eta {
             assert!(
                 (eta.eta() - 0.5).abs() < 0.1,
@@ -1238,8 +1218,7 @@ mod tests {
     fn predictions_cover_the_true_country_mostly() {
         // CBG++'s design goal: be certain the proxy is where we say it
         // is. At small scale a few borderline regions are tolerable.
-        let g = results();
-        let (_, res) = &*g;
+        let (_, res) = results();
         let cov = res.coverage_of_truth();
         assert!(cov >= 0.8, "true-country coverage {cov}");
     }
@@ -1248,8 +1227,7 @@ mod tests {
     fn verdict_mix_is_paper_shaped() {
         // The headline: a sizeable fraction of claims false, a sizeable
         // fraction credible/uncertain.
-        let g = results();
-        let (_, res) = &*g;
+        let (_, res) = results();
         let (credible, uncertain, false_) = res.counts(true);
         let total = credible + uncertain + false_;
         assert!(total > 0);
@@ -1268,8 +1246,7 @@ mod tests {
         // Precision check against ground truth: when the pipeline says
         // "false", the provider claim should indeed be wrong nearly
         // always (the paper's priority: never wrongly accuse).
-        let g = results();
-        let (_, res) = &*g;
+        let (_, res) = results();
         let (mut right, mut total) = (0usize, 0usize);
         for r in &res.records {
             if r.refined.assessment == Assessment::False {
@@ -1287,8 +1264,7 @@ mod tests {
 
     #[test]
     fn refinement_only_resolves_uncertainty() {
-        let g = results();
-        let (_, res) = &*g;
+        let (_, res) = results();
         for r in &res.records {
             if r.verdict.assessment != Assessment::Uncertain {
                 assert_eq!(r.verdict.assessment, r.refined.assessment);
@@ -1301,16 +1277,14 @@ mod tests {
 
     #[test]
     fn fig17_categories_partition_records() {
-        let g = results();
-        let (_, res) = &*g;
+        let (_, res) = results();
         let cats = res.fig17_categories();
         assert_eq!(cats.iter().sum::<usize>(), res.records.len());
     }
 
     #[test]
     fn agreement_rates_are_probabilities() {
-        let g = results();
-        let (study, res) = &*g;
+        let (study, res) = results();
         for p in 0..study.providers.profiles.len() {
             let strict = res.cbgpp_agreement(p, false);
             let generous = res.cbgpp_agreement(p, true);

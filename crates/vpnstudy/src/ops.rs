@@ -88,8 +88,8 @@ pub fn suspicious_rates(results: &StudyResults) -> Vec<(usize, f64)> {
 /// Build the full metric set for a finished study: every recorder
 /// counter/histogram/span family via [`obs::export::recorder_metrics`],
 /// plus the derived gauges — probe loss rate, per-provider suspicious
-/// rates, progress totals (deterministic compartment), and the timing
-/// gauges (wall compartment).
+/// rates, progress totals (deterministic compartment), and the worker
+/// count and timing gauges (wall compartment).
 pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
     let mut set = recorder_metrics(&results.obs)?;
 
@@ -121,7 +121,8 @@ pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
         results.snapshots.len() as u64,
     );
 
-    // Wall-compartment gauges: run timing.
+    // Wall-compartment gauges: run shape and timing.
+    gauge(&mut set, "pv_audit_threads", &[], results.threads as f64);
     if let Some(last) = results.snapshots.last() {
         gauge(&mut set, "pv_audit_elapsed_ms", &[], last.wall.elapsed_ms as f64);
         gauge(&mut set, "pv_eta_ms", &[], last.wall.eta_ms as f64);
@@ -211,6 +212,18 @@ mod tests {
         assert_eq!(parsed.render(), text, "round-trip must be byte-exact");
         assert!(parsed.family("pv_probe_total").is_some());
         assert!(parsed.value("pv_progress_proxies_done", &[]).unwrap() > 0.0);
+        assert_eq!(parsed.value("pv_audit_threads", &[]), Some(2.0));
+    }
+
+    #[test]
+    fn worker_count_is_exported_with_recording_off() {
+        let mut cfg = StudyConfig::small(41);
+        cfg.total_proxies = 12;
+        cfg.obs_level = obs::Level::Off;
+        let mut study = Study::build(cfg);
+        let results = study.run_with_threads(2);
+        let set = study_metrics(&results).expect("exports cleanly at Off");
+        assert_eq!(set.value("pv_audit_threads", &[]), Some(2.0));
     }
 
     #[test]

@@ -171,18 +171,12 @@ pub fn render_reliability(results: &StudyResults) -> String {
     out
 }
 
-/// Performance telemetry: worker count and the recorder's wall-clock
-/// compartment (span timings). **Not deterministic** — wall timings
-/// depend on the machine — so the CI determinism gate must never
+/// Performance telemetry: the worker count the audit ran with (the
+/// span timings are [`render_profile`]'s). **Not deterministic** — it
+/// follows `PV_THREADS` — so the CI determinism gate must never
 /// include this block in the bytes it diffs.
 pub fn render_perf_telemetry(results: &StudyResults) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "threads: {}", results.threads);
-    let wall = results.obs.render_wall();
-    if !wall.is_empty() {
-        let _ = write!(out, "{wall}");
-    }
-    out
+    format!("threads: {}\n", results.threads)
 }
 
 /// The hierarchical span profile of the run: an indented tree of every
@@ -209,7 +203,7 @@ pub fn render_profile(results: &StudyResults) -> String {
 /// The deterministic observability block: every counter and histogram
 /// the layers emitted during the run, identical for any thread count
 /// (the wall-clock compartment is deliberately excluded — it lives in
-/// [`render_perf_telemetry`]).
+/// [`render_profile`]).
 pub fn render_observability(results: &StudyResults) -> String {
     // A wall-side profile span around rendering the deterministic block
     // is safe: the span changes nothing in the bytes rendered here.

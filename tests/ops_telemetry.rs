@@ -18,10 +18,10 @@ fn study() -> &'static StudyResults {
     })
 }
 
-/// Every counter, histogram, and wall counter a real run emits is in
-/// the registry (`study_metrics` errors on the first unregistered raw
-/// name), the exposition lints clean, and parse → render reproduces
-/// the exact bytes.
+/// Every counter and histogram a real run emits is in the registry
+/// (`study_metrics` errors on the first unregistered raw name), the
+/// exposition lints clean, and parse → render reproduces the exact
+/// bytes.
 #[test]
 fn real_run_exports_a_round_trippable_exposition() {
     let set = ops::study_metrics(study()).expect("unregistered metric leaked into a run");

@@ -110,7 +110,7 @@ proptest! {
                 RingConstraint::disk(lm, r)
             })
             .collect();
-        let subset = max_consistent_subset(&constraints, &mask, FastPath::Exact, None);
+        let subset = max_consistent_subset(&constraints, &mask, FastPath::Exact, &obs::Recorder::off());
         prop_assert_eq!(subset.satisfied, constraints.len());
         let plain = intersect_constraints(&constraints, &mask);
         prop_assert_eq!(subset.region.cell_count(), plain.cell_count());

@@ -94,7 +94,7 @@ proptest! {
         let (_, disks) = pair;
         let mask = Region::full(GeoGrid::new(2.0));
         let report = pairwise_infeasible_flags(&disks);
-        let robust = robust_max_consistent_subset(&disks, &report.flagged, &mask, None);
+        let robust = robust_max_consistent_subset(&disks, &report.flagged, &mask, &obs::Recorder::off());
         prop_assert_eq!(robust.excluded, report.flagged_count());
         prop_assert!(!robust.discarded.iter().any(|i| report.flagged[*i]));
 
@@ -108,7 +108,7 @@ proptest! {
             &survivors,
             &vec![false; survivors.len()],
             &mask,
-            None,
+            &obs::Recorder::off(),
         );
         prop_assert_eq!(robust.satisfied, alone.satisfied);
         prop_assert_eq!(robust.region.cell_count(), alone.region.cell_count());
@@ -123,11 +123,11 @@ proptest! {
         let shuffled = permute(&disks, perm);
         let a = {
             let f = pairwise_infeasible_flags(&disks);
-            robust_max_consistent_subset(&disks, &f.flagged, &mask, None)
+            robust_max_consistent_subset(&disks, &f.flagged, &mask, &obs::Recorder::off())
         };
         let b = {
             let f = pairwise_infeasible_flags(&shuffled);
-            robust_max_consistent_subset(&shuffled, &f.flagged, &mask, None)
+            robust_max_consistent_subset(&shuffled, &f.flagged, &mask, &obs::Recorder::off())
         };
         prop_assert_eq!(a.satisfied, b.satisfied);
         prop_assert_eq!(a.excluded, b.excluded);

@@ -5,34 +5,28 @@ use proxy_verifier::vpnstudy::confusion::{continent_confusion, country_confusion
 use proxy_verifier::vpnstudy::report;
 use proxy_verifier::vpnstudy::{Study, StudyConfig};
 use proxy_verifier::Assessment;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
-/// The shared study, locked. A panicking test must not poison it for
-/// the rest of the suite.
-fn study() -> MutexGuard<'static, (Study, proxy_verifier::vpnstudy::audit::StudyResults)> {
-    static S: OnceLock<Mutex<(Study, proxy_verifier::vpnstudy::audit::StudyResults)>> =
-        OnceLock::new();
+/// The shared study, built once and only read.
+fn study() -> &'static (Study, proxy_verifier::vpnstudy::audit::StudyResults) {
+    static S: OnceLock<(Study, proxy_verifier::vpnstudy::audit::StudyResults)> = OnceLock::new();
     S.get_or_init(|| {
         let mut study = Study::build(StudyConfig::small(2018));
         let results = study.run();
-        Mutex::new((study, results))
+        (study, results)
     })
-    .lock()
-    .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[test]
 fn every_proxy_gets_a_verdict() {
-    let g = study();
-    let (s, r) = &*g;
+    let (s, r) = study();
     assert_eq!(r.records.len() + r.unmeasured, s.providers.proxies.len());
     assert!(r.unmeasured <= s.providers.proxies.len() / 10);
 }
 
 #[test]
 fn eta_estimate_matches_the_tunnel_geometry() {
-    let g = study();
-    let (_, r) = &*g;
+    let (_, r) = study();
     let eta = r.eta.expect("pingable proxies exist");
     assert!((eta.eta() - 0.5).abs() < 0.05, "η = {}", eta.eta());
     assert!(eta.r_squared > 0.98, "R² = {}", eta.r_squared);
@@ -43,8 +37,7 @@ fn study_catches_a_majority_of_lies() {
     // Evaluation against ground truth: among proxies whose claim is
     // actually false, the pipeline should flag well over half as false
     // or at least fail to rate them credible.
-    let g = study();
-    let (_, r) = &*g;
+    let (_, r) = study();
     let mut caught = 0usize;
     let mut wrongly_credible = 0usize;
     let mut lies = 0usize;
@@ -71,8 +64,7 @@ fn study_catches_a_majority_of_lies() {
 
 #[test]
 fn honest_proxies_are_rarely_called_false() {
-    let g = study();
-    let (_, r) = &*g;
+    let (_, r) = study();
     let mut honest = 0usize;
     let mut wrongly_false = 0usize;
     for rec in &r.records {
@@ -92,8 +84,7 @@ fn honest_proxies_are_rarely_called_false() {
 
 #[test]
 fn confusion_matrices_are_symmetric_with_dominant_diagonals() {
-    let g = study();
-    let (s, r) = &*g;
+    let (s, r) = study();
     for matrix in [
         continent_confusion(s.world.atlas(), r),
         country_confusion(s.world.atlas(), r),
@@ -115,8 +106,7 @@ fn confusion_matrices_are_symmetric_with_dominant_diagonals() {
 fn continent_confusion_shows_neighbour_structure() {
     // Europe–Africa overlap should exist (the paper's Fig. 22 shows it);
     // Europe–Australia overlap should be absent or tiny.
-    let g = study();
-    let (s, r) = &*g;
+    let (s, r) = study();
     let m = continent_confusion(s.world.atlas(), r);
     use proxy_verifier::Continent;
     let eu = Continent::Europe.index();
@@ -131,8 +121,7 @@ fn continent_confusion_shows_neighbour_structure() {
 
 #[test]
 fn reports_render_nonempty() {
-    let g = study();
-    let (s, r) = &*g;
+    let (s, r) = study();
     let overall = report::render_overall(s, r);
     assert!(overall.contains("assessment"));
     let fig21 = report::render_fig21(s, r);
@@ -146,8 +135,7 @@ fn reports_render_nonempty() {
 fn ip_databases_agree_with_claims_more_than_cbgpp_strict() {
     // Fig. 21's key relationship: every IP-to-location database is more
     // provider-friendly than strict active geolocation.
-    let g = study();
-    let (s, r) = &*g;
+    let (s, r) = study();
     for provider in 0..s.providers.profiles.len() {
         let strict = r.cbgpp_agreement(provider, false);
         for db in proxy_verifier::vpnstudy::ipdb::paper_databases() {
@@ -177,8 +165,7 @@ fn ip_databases_agree_with_claims_more_than_cbgpp_strict() {
 fn iclab_is_no_more_generous_than_cbgpp_generous() {
     // ICLab only *rejects* impossible claims, so it should sit between
     // CBG++ strict and the IP databases, usually near CBG++.
-    let g = study();
-    let (s, r) = &*g;
+    let (s, r) = study();
     let mut iclab_total = 0.0;
     let mut generous_total = 0.0;
     for provider in 0..s.providers.profiles.len() {
