@@ -15,15 +15,14 @@
 //!   "counters": { "net.probe.sent": 123 },
 //!   "results": [
 //!     { "name": "audit/one proxy", "median_ns": 127000.5, "p10_ns": 1.0,
-//!       "p90_ns": 2.0, "iters_per_sample": 39, "samples": 20,
-//!       "tolerance": 0.5 }
+//!       "p90_ns": 2.0, "iters_per_sample": 39, "samples": 20 }
 //!   ]
 //! }
 //! ```
 //!
-//! `tolerance` is optional per entry: the perf-regression gate
-//! (`perf_gate`) reads it as that bench's relative regression budget,
-//! falling back to its global default when absent.
+//! The artifacts record; they gate nothing. Wall-clock numbers move with
+//! the machine, so the checks that fail CI are the exact counts in
+//! `tests/ratchets.rs` instead.
 
 use crate::harness::Sampled;
 use obs::json::{json_str, Json};
@@ -44,9 +43,6 @@ pub struct BenchRecord {
     pub iters_per_sample: u64,
     /// Number of timed samples taken.
     pub samples: u64,
-    /// Optional per-entry relative tolerance for the perf gate (e.g.
-    /// `0.5` allows the median to grow 50 % before failing).
-    pub tolerance: Option<f64>,
 }
 
 impl From<&Sampled> for BenchRecord {
@@ -58,7 +54,6 @@ impl From<&Sampled> for BenchRecord {
             p90_ns: s.p90_ns,
             iters_per_sample: s.iters_per_sample,
             samples: s.samples as u64,
-            tolerance: None,
         }
     }
 }
@@ -99,20 +94,14 @@ impl BenchArtifact {
         format!("BENCH_{sanitized}.json")
     }
 
-    /// Replace entries matching `fresh` by name (keeping their committed
-    /// `tolerance`), append names not seen before. Entries from earlier
-    /// runs that `fresh` does not mention survive untouched, so a
-    /// filtered bench run updates only its subset.
+    /// Replace entries matching `fresh` by name, append names not seen
+    /// before. Entries from earlier runs that `fresh` does not mention
+    /// survive untouched, so a filtered bench run updates only its
+    /// subset.
     pub fn merge_results(&mut self, fresh: &[BenchRecord]) {
         for rec in fresh {
             match self.results.iter_mut().find(|r| r.name == rec.name) {
-                Some(existing) => {
-                    let tolerance = existing.tolerance;
-                    *existing = rec.clone();
-                    if existing.tolerance.is_none() {
-                        existing.tolerance = tolerance;
-                    }
-                }
+                Some(existing) => *existing = rec.clone(),
                 None => self.results.push(rec.clone()),
             }
         }
@@ -149,7 +138,7 @@ impl BenchArtifact {
             let _ = write!(
                 out,
                 "{sep}    {{ \"name\": {}, \"median_ns\": {:.1}, \"p10_ns\": {:.1}, \
-                 \"p90_ns\": {:.1}, \"iters_per_sample\": {}, \"samples\": {}",
+                 \"p90_ns\": {:.1}, \"iters_per_sample\": {}, \"samples\": {} }}",
                 json_str(&r.name),
                 r.median_ns,
                 r.p10_ns,
@@ -157,10 +146,6 @@ impl BenchArtifact {
                 r.iters_per_sample,
                 r.samples,
             );
-            if let Some(t) = r.tolerance {
-                let _ = write!(out, ", \"tolerance\": {t:.2}");
-            }
-            out.push_str(" }");
         }
         if self.results.is_empty() {
             out.push_str("]\n}\n");
@@ -198,7 +183,6 @@ impl BenchArtifact {
                             p90_ns: 0.0,
                             iters_per_sample: 0,
                             samples: 0,
-                            tolerance: None,
                         };
                         for (k, v) in entry {
                             match k.as_str() {
@@ -216,7 +200,6 @@ impl BenchArtifact {
                                 "samples" => {
                                     rec.samples = v.as_f64().unwrap_or(0.0) as u64;
                                 }
-                                "tolerance" => rec.tolerance = v.as_f64(),
                                 _ => {}
                             }
                         }
@@ -264,7 +247,6 @@ mod tests {
                     p90_ns: 140_000.2,
                     iters_per_sample: 39,
                     samples: 20,
-                    tolerance: Some(0.5),
                 },
                 BenchRecord {
                     name: "audit/with \"quotes\"".into(),
@@ -273,7 +255,6 @@ mod tests {
                     p90_ns: 11.0,
                     iters_per_sample: 1000,
                     samples: 20,
-                    tolerance: None,
                 },
             ],
         }
@@ -299,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_replaces_by_name_and_keeps_committed_tolerance() {
+    fn merge_replaces_by_name_and_appends_new_names() {
         let mut art = sample_artifact();
         let fresh = vec![
             BenchRecord {
@@ -309,7 +290,6 @@ mod tests {
                 p90_ns: 100_000.0,
                 iters_per_sample: 50,
                 samples: 5,
-                tolerance: None,
             },
             BenchRecord {
                 name: "audit/brand new".into(),
@@ -318,30 +298,27 @@ mod tests {
                 p90_ns: 1.0,
                 iters_per_sample: 1,
                 samples: 2,
-                tolerance: None,
             },
         ];
         art.merge_results(&fresh);
         assert_eq!(art.results.len(), 3);
         let one = art.results.iter().find(|r| r.name == "audit/one proxy").unwrap();
         assert_eq!(one.median_ns, 99_000.0);
-        // The committed per-entry tolerance survives a re-measure.
-        assert_eq!(one.tolerance, Some(0.5));
+        assert_eq!(one.samples, 5);
         assert!(art.results.iter().any(|r| r.name == "audit/brand new"));
     }
 
     #[test]
     fn parse_tolerates_minimal_hand_written_baselines() {
         let art = BenchArtifact::parse(
-            r#"{ "group": "gate",
-                 "results": [ { "name": "gate/x", "median_ns": 1500 } ] }"#,
+            r#"{ "group": "audit",
+                 "results": [ { "name": "audit/x", "median_ns": 1500 } ] }"#,
         )
         .unwrap();
-        assert_eq!(art.group, "gate");
+        assert_eq!(art.group, "audit");
         assert_eq!(art.threads, 0);
         assert!(art.git.is_none());
         assert_eq!(art.results[0].median_ns, 1500.0);
-        assert_eq!(art.results[0].tolerance, None);
     }
 
     #[test]

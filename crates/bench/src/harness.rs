@@ -17,7 +17,7 @@
 //! Setting the `PV_BENCH_SAMPLES` environment variable overrides *every*
 //! sample count — the default, `--sample-size`, and per-group
 //! [`BenchmarkGroup::sample_size`] calls alike (clamped to a minimum of
-//! 2). This is the CI smoke mode: `PV_BENCH_SAMPLES=5 cargo bench` runs
+//! 2). This is the smoke mode: `PV_BENCH_SAMPLES=5 cargo bench` runs
 //! the full suite in seconds with noisier numbers, while local runs
 //! without the variable keep the full 50-sample statistics.
 //!
@@ -189,7 +189,7 @@ impl Default for Criterion {
 }
 
 /// The `PV_BENCH_SAMPLES` override, when set to a usable number.
-pub fn env_sample_override() -> Option<usize> {
+fn env_sample_override() -> Option<usize> {
     std::env::var("PV_BENCH_SAMPLES")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -253,10 +253,11 @@ impl Criterion {
                 return;
             }
         }
-        // The env override is the CI smoke switch: it wins over both the
+        // The env override is the smoke switch: it wins over both the
         // default and any per-group sample_size() call.
-        let sample_size = env_sample_override().unwrap_or(sample_size);
-        self.results.push(run_sampled(&name, sample_size, f));
+        let mut bencher = Bencher::new(env_sample_override().unwrap_or(sample_size).max(2));
+        f(&mut bencher);
+        self.results.push(summarize(&name, &bencher));
         println!("{}", report_line(self.results.last().expect("just pushed")));
     }
 
@@ -383,17 +384,6 @@ fn merge_report_lines(existing: &str, fresh: &[Sampled]) -> String {
         let _ = writeln!(out, "{}", report_line(s));
     }
     out
-}
-
-/// Measure one routine outside a `Criterion` run: used by the perf gate
-/// to re-run its smoke suite without touching the report files.
-pub fn run_sampled<F>(name: &str, sample_size: usize, f: F) -> Sampled
-where
-    F: FnOnce(&mut Bencher),
-{
-    let mut bencher = Bencher::new(sample_size.max(2));
-    f(&mut bencher);
-    summarize(name, &bencher)
 }
 
 /// A named batch of benchmarks sharing a sample size, mirroring

@@ -6,7 +6,6 @@
 
 pub mod artifact;
 pub mod figures;
-pub mod gate;
 pub mod harness;
 pub mod render;
 pub mod scale;

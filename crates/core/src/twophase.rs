@@ -237,6 +237,20 @@ struct InnerOutcome {
     quorum_degraded: bool,
 }
 
+/// One reading from `prober`, or `None` when the landmark did not answer
+/// or the answer is not a round-trip time at all (NaN, infinite or
+/// negative). A garbage reading backs no constraint, so it counts as no
+/// answer instead of reaching [`Observation::new`].
+fn usable_probe<P: RttProber>(
+    prober: &mut P,
+    network: &mut Network,
+    landmark: NodeId,
+) -> Option<f64> {
+    prober
+        .probe(network, landmark)
+        .filter(|ms| ms.is_finite() && *ms >= 0.0)
+}
+
 fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
     network: &mut Network,
     server: &LandmarkServer<'_>,
@@ -265,7 +279,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
     let mut best: Option<(f64, Continent)> = None;
     let mut phase1_obs: Vec<(usize, f64)> = Vec::new();
     for &id in phase1 {
-        let Some(rtt) = prober.probe(network, landmarks[id].node) else {
+        let Some(rtt) = usable_probe(prober, network, landmarks[id].node) else {
             continue;
         };
         let continent = continent_of(id);
@@ -325,7 +339,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
             if seen[id] {
                 continue;
             }
-            if let Some(rtt) = prober.probe(network, landmarks[id].node) {
+            if let Some(rtt) = usable_probe(prober, network, landmarks[id].node) {
                 observations.push(make_observation(server, id, rtt));
             }
         }
@@ -383,7 +397,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
                 continue;
             }
             seen[id] = true;
-            if let Some(rtt) = prober.probe(network, landmarks[id].node) {
+            if let Some(rtt) = usable_probe(prober, network, landmarks[id].node) {
                 if best.is_none_or(|(b, _)| rtt < b) {
                     best = Some((rtt, continent_of(id)));
                 }
@@ -564,7 +578,7 @@ pub fn run_refined<P: RttProber, R: Rng + ?Sized>(
         let mut measured_any = false;
         for &(_, id) in candidates.iter().take(config.batch) {
             used[id] = true;
-            if let Some(rtt) = prober.probe(network, landmarks[id].node) {
+            if let Some(rtt) = usable_probe(prober, network, landmarks[id].node) {
                 observations.push(make_observation(server, id, rtt));
                 measured_any = true;
             }
@@ -974,6 +988,34 @@ mod tests {
                 b.one_way_ms
             );
         }
+    }
+
+    #[test]
+    fn nan_readings_count_as_no_answer() {
+        let mut f = fixture();
+        let Fixture {
+            world,
+            constellation,
+            calibration,
+        } = &mut *f;
+        let client = world.attach_host(geokit::GeoPoint::new(50.1, 8.7), FilterPolicy::default());
+        let proxy = world.attach_host(geokit::GeoPoint::new(45.5, 9.2), FilterPolicy::default());
+        let atlas = Arc::clone(world.atlas());
+        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let ctx =
+            ProxyContext::establish(world.network_mut(), client, proxy, 0.5, 4).expect("tunnel up");
+        // Every reading is garbage, and a third of them are NaN: with
+        // one attempt per landmark, some landmark's only reading is NaN.
+        world.network_mut().faults_mut().set_corrupt_chance(1.0);
+        let mut prober = ProxyProber::new(ctx, 1);
+        let mut rng = StdRng::seed_from_u64(7);
+        let result = run_two_phase(world.network_mut(), &server, &mut prober, &mut rng);
+        world.network_mut().faults_mut().set_corrupt_chance(0.0);
+        let result = result.expect("the finite readings still measure the proxy");
+        assert!(result
+            .observations
+            .iter()
+            .all(|o| o.one_way_ms.is_finite() && o.one_way_ms >= 0.0));
     }
 
     #[test]

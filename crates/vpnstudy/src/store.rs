@@ -18,11 +18,22 @@
 //! {"t":"unmeasured","epoch":0,"node":901,"provider":5,"claimed":7,...}
 //! ```
 //!
-//! The file is **append-only**: an epoch header followed by its rows is
-//! atomic-enough for a single writer, merges concatenate epochs with
-//! renumbered ids, and a truncated final line (crash mid-append) is
-//! detected and reported at open. Assessment names on the wire are the
-//! stable strings from [`Assessment::as_str`] / [`ContinentVerdict::as_str`].
+//! The file is **append-only**: merges concatenate epochs with
+//! renumbered ids. Assessment names on the wire are the stable strings
+//! from [`Assessment::as_str`] / [`ContinentVerdict::as_str`].
+//!
+//! ## Crash safety
+//!
+//! An epoch is committed once its header and every row the header
+//! counts (`measured` verdicts plus `unmeasured` failures) are on disk,
+//! newline-terminated. A crash mid-append can only leave the *last*
+//! epoch short, so [`VerdictStore::open`] keeps the trailing epoch only
+//! when the file ends in `\n` and its rows match the header; otherwise
+//! it rolls back to the last committed epoch and reports the bytes it
+//! ignored in [`VerdictStore::dropped_bytes`]. The next append cuts
+//! those bytes off before it writes. Any complete line that does not
+//! parse, and any earlier epoch whose rows do not match its header, is
+//! corruption rather than a crash, and `open` fails on it.
 //!
 //! ## Freshness and revalidation
 //!
@@ -168,11 +179,17 @@ pub struct VerdictStore {
     failures: Vec<StoredFailure>,
     /// node → index into `verdicts` of that node's most recent row.
     latest: HashMap<NodeId, usize>,
+    /// File length covered by committed epochs.
+    committed_len: u64,
+    /// Bytes past `committed_len` that `open` ignored: a torn or short
+    /// trailing epoch, cut off by the next append.
+    dropped_bytes: u64,
 }
 
 impl VerdictStore {
-    /// Open a store at `path`, replaying any existing file into the
-    /// in-memory index. A missing file is an empty store (the file is
+    /// Open a store at `path`, replaying every committed epoch of an
+    /// existing file into the in-memory index (see the module docs on
+    /// crash safety). A missing file is an empty store (the file is
     /// created on first append).
     pub fn open(path: impl Into<PathBuf>) -> io::Result<VerdictStore> {
         let path = path.into();
@@ -182,22 +199,51 @@ impl VerdictStore {
             verdicts: Vec::new(),
             failures: Vec::new(),
             latest: HashMap::new(),
+            committed_len: 0,
+            dropped_bytes: 0,
         };
-        let mut text = String::new();
+        let mut bytes = Vec::new();
         match std::fs::File::open(&store.path) {
             Ok(mut f) => {
-                f.read_to_string(&mut text)?;
+                f.read_to_end(&mut bytes)?;
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
             Err(e) => return Err(e),
         }
-        for (lineno, line) in text.lines().enumerate() {
+        // Rows still owed by the newest epoch, and the store sizes at
+        // the end of the last committed one.
+        let mut owed = 0usize;
+        let mut committed = (0, 0, 0);
+        let mut offset = 0usize;
+        let shown = store.path.display().to_string();
+        // Only newline-terminated lines count: a final fragment without
+        // one is a torn write and stays past `committed_len`.
+        for (lineno, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+            let Some(line) = line.strip_suffix(b"\n") else {
+                break;
+            };
+            offset += line.len() + 1;
+            let at = |msg: String| bad_data(format!("{shown}:{}: {msg}", lineno + 1));
+            let line = std::str::from_utf8(line).map_err(|e| at(e.to_string()))?;
             if line.trim().is_empty() {
                 continue;
             }
-            store
-                .ingest_line(line)
-                .map_err(|msg| bad_data(format!("{}:{}: {msg}", store.path.display(), lineno + 1)))?;
+            owed = store.ingest_line(line, owed).map_err(at)?;
+            if owed == 0 {
+                store.committed_len = offset as u64;
+                committed = (
+                    store.epochs.len(),
+                    store.verdicts.len(),
+                    store.failures.len(),
+                );
+            }
+        }
+        store.dropped_bytes = bytes.len() as u64 - store.committed_len;
+        store.epochs.truncate(committed.0);
+        store.verdicts.truncate(committed.1);
+        store.failures.truncate(committed.2);
+        for (i, v) in store.verdicts.iter().enumerate() {
+            store.latest.insert(v.node, i);
         }
         Ok(store)
     }
@@ -220,6 +266,13 @@ impl VerdictStore {
     /// Every stored failure, in file order.
     pub fn failures(&self) -> &[StoredFailure] {
         &self.failures
+    }
+
+    /// Bytes of a torn or short trailing epoch that [`open`](Self::open)
+    /// ignored (0 for a cleanly written file). The next append removes
+    /// them from the file.
+    pub fn dropped_bytes(&self) -> u64 {
+        self.dropped_bytes
     }
 
     /// Append a finished study as the next epoch. `recorded_at_ms` is
@@ -391,8 +444,15 @@ impl VerdictStore {
             .create(true)
             .append(true)
             .open(&self.path)?;
+        if self.dropped_bytes > 0 {
+            // Roll the file back to the last committed epoch; appends
+            // then land right after it.
+            file.set_len(self.committed_len)?;
+        }
         file.write_all(text.as_bytes())?;
         file.sync_data()?;
+        self.committed_len += text.len() as u64;
+        self.dropped_bytes = 0;
         self.epochs.push(meta.clone());
         for row in rows {
             self.latest.insert(row.node, self.verdicts.len());
@@ -402,7 +462,9 @@ impl VerdictStore {
         Ok(meta.epoch)
     }
 
-    fn ingest_line(&mut self, line: &str) -> Result<(), String> {
+    /// Replay one record. `owed` is how many rows the newest epoch still
+    /// lacks; returns the new count.
+    fn ingest_line(&mut self, line: &str, owed: usize) -> Result<usize, String> {
         let doc = Json::parse(line)?;
         let kind = doc
             .get("t")
@@ -424,7 +486,16 @@ impl VerdictStore {
                         self.epochs.len()
                     ));
                 }
+                if owed > 0 {
+                    return Err(format!(
+                        "epoch {} header while epoch {} still lacks {owed} rows",
+                        meta.epoch,
+                        meta.epoch - 1
+                    ));
+                }
+                let owed = meta.measured + meta.unmeasured;
                 self.epochs.push(meta);
+                return Ok(owed);
             }
             "verdict" => {
                 let row = StoredVerdict {
@@ -438,10 +509,7 @@ impl VerdictStore {
                     region_area_km2: get_f64(&doc, "area_km2")?,
                     self_ping_ms: get_f64(&doc, "self_ping_ms")?,
                 };
-                if row.epoch as usize >= self.epochs.len() {
-                    return Err(format!("verdict for unknown epoch {}", row.epoch));
-                }
-                self.latest.insert(row.node, self.verdicts.len());
+                self.check_row(row.epoch, owed)?;
                 self.verdicts.push(row);
             }
             "unmeasured" => {
@@ -456,14 +524,25 @@ impl VerdictStore {
                         .ok_or("unmeasured record without \"failure\"")?
                         .to_string(),
                 };
-                if row.epoch as usize >= self.epochs.len() {
-                    return Err(format!("failure for unknown epoch {}", row.epoch));
-                }
+                self.check_row(row.epoch, owed)?;
                 self.failures.push(row);
             }
             other => return Err(format!("unknown record kind {other:?}")),
         }
-        Ok(())
+        Ok(owed - 1)
+    }
+
+    /// A row must belong to the newest epoch and fit in its header's count.
+    fn check_row(&self, epoch: EpochId, owed: usize) -> Result<(), String> {
+        match self.epochs.last() {
+            Some(m) if m.epoch == epoch && owed > 0 => Ok(()),
+            Some(m) if m.epoch == epoch => Err(format!(
+                "epoch {epoch} has more rows than its header counts"
+            )),
+            _ => Err(format!(
+                "row for epoch {epoch} does not follow that epoch's header"
+            )),
+        }
     }
 }
 
@@ -596,11 +675,15 @@ mod tests {
             claimed: 3,
             failure: "TooFewLandmarks { usable: 2 }".into(),
         }];
-        store.append_rows(&meta(0, 1_000, 2), &rows, &fails).unwrap();
+        let header = EpochMeta {
+            unmeasured: 1,
+            ..meta(0, 1_000, 2)
+        };
+        store.append_rows(&header, &rows, &fails).unwrap();
         drop(store);
 
         let reopened = VerdictStore::open(&path).unwrap();
-        assert_eq!(reopened.epochs(), &[meta(0, 1_000, 2)]);
+        assert_eq!(reopened.epochs(), &[header]);
         assert_eq!(reopened.verdicts(), rows.as_slice());
         assert_eq!(reopened.failures(), fails.as_slice());
         assert_eq!(
@@ -790,6 +873,90 @@ mod tests {
         let reopened = VerdictStore::open(&a_path).unwrap();
         assert_eq!(reopened.verdicts(), a.verdicts());
         assert_eq!(reopened.epochs(), a.epochs());
+    }
+
+    #[test]
+    fn a_cut_at_any_byte_keeps_exactly_the_complete_epochs() {
+        let path = scratch("cut");
+        let mut store = VerdictStore::open(&path).unwrap();
+        let failure = StoredFailure {
+            epoch: 0,
+            node: 12,
+            provider: 1,
+            claimed: 3,
+            failure: "Unreachable".into(),
+        };
+        let epochs = [
+            (
+                EpochMeta {
+                    unmeasured: 1,
+                    ..meta(0, 1_000, 2)
+                },
+                vec![
+                    verdict(0, 10, 1, Assessment::Credible),
+                    verdict(0, 11, 2, Assessment::False),
+                ],
+                vec![failure],
+            ),
+            // An epoch without rows is committed by its header alone.
+            (meta(1, 2_000, 0), vec![], vec![]),
+            (
+                meta(2, 3_000, 1),
+                vec![verdict(2, 10, 1, Assessment::Uncertain)],
+                vec![],
+            ),
+        ];
+        // File length at the end of each committed prefix of epochs.
+        let mut ends = vec![0];
+        for (m, rows, fails) in &epochs {
+            store.append_rows(m, rows, fails).unwrap();
+            ends.push(std::fs::metadata(&path).unwrap().len());
+        }
+        let full = std::fs::read(&path).unwrap();
+
+        let cut_path = scratch("cut-copy");
+        for cut in 0..=full.len() {
+            std::fs::write(&cut_path, &full[..cut]).unwrap();
+            let complete = ends.iter().filter(|&&e| e <= cut as u64).count() - 1;
+            let mut cut_store =
+                VerdictStore::open(&cut_path).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+            assert_eq!(
+                cut_store.epochs(),
+                &store.epochs()[..complete],
+                "cut at byte {cut}"
+            );
+            let kept = |epoch: EpochId| epoch < complete as EpochId;
+            let verdicts = store.verdicts().iter().filter(|v| kept(v.epoch));
+            assert!(
+                cut_store.verdicts().iter().eq(verdicts),
+                "cut at byte {cut}"
+            );
+            let failures = store.failures().iter().filter(|f| kept(f.epoch));
+            assert!(
+                cut_store.failures().iter().eq(failures),
+                "cut at byte {cut}"
+            );
+            assert_eq!(
+                cut_store.dropped_bytes(),
+                cut as u64 - ends[complete],
+                "cut at byte {cut}"
+            );
+
+            // The next append replaces the dropped tail with a whole epoch.
+            let next = complete as EpochId;
+            cut_store
+                .append_rows(
+                    &meta(next, 9_000, 1),
+                    &[verdict(next, 99, 0, Assessment::False)],
+                    &[],
+                )
+                .unwrap();
+            let reopened = VerdictStore::open(&cut_path).unwrap();
+            assert_eq!(reopened.epochs().len(), complete + 1, "cut at byte {cut}");
+            assert_eq!(reopened.dropped_bytes(), 0);
+            assert_eq!(reopened.verdicts(), cut_store.verdicts());
+            assert_eq!(reopened.lookup(99, 9_000, 0).unwrap().verdict.epoch, next);
+        }
     }
 
     #[test]
