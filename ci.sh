@@ -9,6 +9,11 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --offline
 cargo test -q --offline
 
+# The crate unit tests (audit, disambiguation, reliability, campaign
+# scoring, ...) live in the member crates, which the root-package run
+# above does not reach.
+cargo test -q --offline --workspace
+
 # The benchmark under perfbench/ is a separate, frozen crate that calls
 # the study's public entry points; it must at least still compile.
 cargo test --no-run -q --release --offline --manifest-path perfbench/Cargo.toml

@@ -117,8 +117,10 @@ pub fn fig16_colocation_group(ctx: &StudyContext) -> String {
         })
         .collect();
     let refs: Vec<&[usize]> = sets.iter().map(Vec::as_slice).collect();
-    let resolution = geoloc::disambiguate::by_touched_sets(&refs);
-    let _ = writeln!(out, "# group resolution: {resolution:?}");
+    let _ = match geoloc::disambiguate::by_touched_sets(&refs) {
+        Some(country) => writeln!(out, "# group resolution: Resolved({country})"),
+        None => writeln!(out, "# group resolution: Unresolved"),
+    };
     out
 }
 

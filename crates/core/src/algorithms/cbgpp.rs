@@ -19,6 +19,7 @@
 
 use crate::algorithms::{Geolocator, Prediction};
 use crate::delay_model::CbgModel;
+use crate::multilateration::constraint::grid_slack_km;
 use crate::multilateration::subset::constraint_overlaps_region;
 use crate::multilateration::{max_consistent_subset, FastPath, RingConstraint};
 use crate::observation::Observation;
@@ -36,6 +37,21 @@ impl Geolocator for CbgPlusPlus {
     fn locate(&self, observations: &[Observation], mask: &Region) -> Prediction {
         CbgPlusPlusVariant::default().locate(observations, mask)
     }
+}
+
+/// Baseline (pure-physics) disks for a set of observations: raw
+/// 200 km/ms distances, which cannot underestimate, inflated by the grid
+/// slack. CBG++'s baseline stage and the Byzantine defense both start
+/// from these.
+pub fn baseline_disks(observations: &[Observation], mask: &Region) -> Vec<RingConstraint> {
+    let slack = grid_slack_km(mask.grid());
+    observations
+        .iter()
+        .map(|o| {
+            RingConstraint::disk(o.landmark, CbgModel::baseline_distance_km(o.one_way_ms))
+                .inflated(slack)
+        })
+        .collect()
 }
 
 impl CbgPlusPlus {
@@ -98,22 +114,12 @@ impl CbgPlusPlusVariant {
         let subset = |constraints: &[RingConstraint], m: &Region| {
             max_consistent_subset(constraints, m, FastPath::Snapped, rec)
         };
-        let slack = crate::multilateration::constraint::grid_slack_km(mask.grid());
+        let slack = grid_slack_km(mask.grid());
 
         let search_mask: Region;
         let baseline_region: Option<&Region> = if self.use_baseline_filter {
             let baseline_span = rec.profile_span("cbgpp.baseline");
-            // Baseline disks: pure physics, cannot underestimate.
-            let baseline: Vec<RingConstraint> = observations
-                .iter()
-                .map(|o| {
-                    RingConstraint::disk(
-                        o.landmark,
-                        CbgModel::baseline_distance_km(o.one_way_ms),
-                    )
-                    .inflated(slack)
-                })
-                .collect();
+            let baseline = baseline_disks(observations, mask);
             let base = subset(&baseline, mask);
             drop(baseline_span);
             search_mask = base.region;

@@ -9,7 +9,7 @@ mod shortest_ping;
 mod spotter;
 
 pub use cbg::Cbg;
-pub use cbgpp::{CbgPlusPlus, CbgPlusPlusVariant};
+pub use cbgpp::{baseline_disks, CbgPlusPlus, CbgPlusPlusVariant};
 pub use hybrid::Hybrid;
 pub use octant_full::OctantWithHeight;
 pub use quasi_octant::QuasiOctant;

@@ -35,12 +35,8 @@
 //! and arithmetic, no RNG, no clocks — the defense slots into the
 //! byte-identical determinism contract unchanged.
 
-use crate::algorithms::CbgPlusPlus;
-use crate::delay_model::CbgModel;
-use crate::multilateration::constraint::grid_slack_km;
-use crate::multilateration::{
-    pairwise_infeasible_flags, robust_max_consistent_subset, RingConstraint,
-};
+use crate::algorithms::{baseline_disks, CbgPlusPlus};
+use crate::multilateration::{pairwise_infeasible_flags, robust_max_consistent_subset};
 use crate::observation::Observation;
 use crate::reliability::MeasurementDiagnostics;
 use geokit::Region;
@@ -173,19 +169,6 @@ pub mod evidence {
     /// measured client↔proxy RTT allows (`η·C ≫ D` on a pingable
     /// proxy): the self-ping-inflation signature.
     pub const SELF_PING_MISMATCH: &str = "self_ping_direct_mismatch";
-}
-
-/// Baseline (pure-physics) disks for a set of observations, inflated by
-/// the grid slack exactly as CBG++'s baseline stage builds them.
-pub fn baseline_disks(observations: &[Observation], mask: &Region) -> Vec<RingConstraint> {
-    let slack = grid_slack_km(mask.grid());
-    observations
-        .iter()
-        .map(|o| {
-            RingConstraint::disk(o.landmark, CbgModel::baseline_distance_km(o.one_way_ms))
-                .inflated(slack)
-        })
-        .collect()
 }
 
 /// A canonical, input-order-independent sort key for an observation.

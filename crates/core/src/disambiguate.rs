@@ -10,57 +10,28 @@
 //!   same physical location", so the group's true country must be
 //!   covered by *every* member's prediction region — the intersection of
 //!   their touched-country sets.
+//!
+//! Both techniques only *find* a country ([`by_data_centers`],
+//! [`by_touched_sets`]); [`resolve`] is the one rule that turns that
+//! country into a verdict.
 
-use crate::assess::{assess_claim, Assessment, ClaimVerdict};
+use crate::assess::Assessment;
 use geokit::Region;
-use worldmap::{CountryId, DataCenterRegistry, WorldAtlas};
+use worldmap::{CountryId, DataCenterRegistry};
 
-/// Result of a disambiguation attempt on an uncertain claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disambiguation {
-    /// Narrowed to a single country.
-    Resolved(CountryId),
-    /// Still ambiguous.
-    Unresolved,
-}
-
-/// Try to resolve a prediction region to one country via data centers:
-/// succeeds iff exactly one country has a data center inside the region.
-pub fn by_data_centers(
-    registry: &DataCenterRegistry,
-    region: &Region,
-) -> Disambiguation {
-    let countries = registry.countries_in_region(region);
-    match countries.as_slice() {
-        [only] => Disambiguation::Resolved(*only),
-        _ => Disambiguation::Unresolved,
+/// The country a prediction region resolves to via data centers: `Some`
+/// iff exactly one country has a data center inside the region.
+pub fn by_data_centers(registry: &DataCenterRegistry, region: &Region) -> Option<CountryId> {
+    match registry.countries_in_region(region).as_slice() {
+        [only] => Some(*only),
+        _ => None,
     }
 }
 
-/// Try to resolve a *group* of co-located proxies (same provider + AS +
-/// /24) via the intersection of their touched-country sets: succeeds iff
+/// The country a *group* of co-located proxies (same provider + AS +
+/// /24) resolves to, given each member's touched-country set: `Some` iff
 /// exactly one country is covered by every member's region.
-pub fn by_colocation_group(
-    atlas: &WorldAtlas,
-    regions: &[&Region],
-) -> Disambiguation {
-    let sets: Vec<Vec<CountryId>> = regions
-        .iter()
-        .map(|region| {
-            atlas
-                .countries_touched(region)
-                .into_iter()
-                .map(|(c, _)| c)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[CountryId]> = sets.iter().map(Vec::as_slice).collect();
-    by_touched_sets(&refs)
-}
-
-/// Same resolution rule over precomputed touched-country sets — the form
-/// the bulk study uses so it need not keep every region in memory.
-pub fn by_touched_sets(sets: &[&[CountryId]]) -> Disambiguation {
+pub fn by_touched_sets(sets: &[&[CountryId]]) -> Option<CountryId> {
     let mut common: Option<Vec<CountryId>> = None;
     for set in sets {
         let mut touched: Vec<CountryId> = set.to_vec();
@@ -74,44 +45,34 @@ pub fn by_touched_sets(sets: &[&[CountryId]]) -> Disambiguation {
         });
     }
     match common.as_deref() {
-        Some([only]) => Disambiguation::Resolved(*only),
-        _ => Disambiguation::Unresolved,
+        Some([only]) => Some(*only),
+        _ => None,
     }
 }
 
-/// Apply data-center disambiguation to an uncertain verdict: when the
-/// region resolves to a single data-center country, the claim becomes
-/// credible (if it names that country) or false (otherwise). Verdicts
-/// that are already credible/false pass through untouched.
-pub fn refine_verdict(
-    atlas: &WorldAtlas,
-    registry: &DataCenterRegistry,
-    region: &Region,
+/// The one rule that turns an `Uncertain` verdict into `Credible` or
+/// `False`: when metadata resolved the region to a single country, the
+/// claim is credible if it names that country and false otherwise.
+/// Every other assessment, and an unresolved region, passes through.
+pub fn resolve(
+    assessment: Assessment,
+    resolved: Option<CountryId>,
     claimed: CountryId,
-    verdict: ClaimVerdict,
-) -> ClaimVerdict {
-    if verdict.assessment != Assessment::Uncertain {
-        return verdict;
-    }
-    match by_data_centers(registry, region) {
-        Disambiguation::Resolved(country) => {
-            let mut refined = assess_claim(atlas, region, claimed);
-            refined.assessment = if country == claimed {
-                Assessment::Credible
-            } else {
-                Assessment::False
-            };
-            refined
-        }
-        Disambiguation::Unresolved => verdict,
+) -> Assessment {
+    match (assessment, resolved) {
+        (Assessment::Uncertain, Some(country)) if country == claimed => Assessment::Credible,
+        (Assessment::Uncertain, Some(_)) => Assessment::False,
+        _ => assessment,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assess::assess_claim;
     use geokit::{GeoGrid, GeoPoint, SphericalCap};
     use std::sync::OnceLock;
+    use worldmap::WorldAtlas;
 
     fn setup() -> &'static (WorldAtlas, DataCenterRegistry) {
         static S: OnceLock<(WorldAtlas, DataCenterRegistry)> = OnceLock::new();
@@ -127,13 +88,45 @@ mod tests {
             .intersection(atlas.land())
     }
 
+    /// The group rule over each region's touched-country set.
+    fn by_group(atlas: &WorldAtlas, regions: &[&Region]) -> Option<CountryId> {
+        let sets: Vec<Vec<CountryId>> = regions
+            .iter()
+            .map(|r| {
+                atlas
+                    .countries_touched(r)
+                    .into_iter()
+                    .map(|(c, _)| c)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[CountryId]> = sets.iter().map(Vec::as_slice).collect();
+        by_touched_sets(&refs)
+    }
+
+    #[test]
+    fn resolve_truth_table() {
+        use Assessment::*;
+        let (claimed, other) = (7, 9);
+        for (assessment, unresolved, named, elsewhere) in [
+            (Credible, Credible, Credible, Credible),
+            (Uncertain, Uncertain, Credible, False),
+            (False, False, False, False),
+            (Suspicious, Suspicious, Suspicious, Suspicious),
+        ] {
+            assert_eq!(resolve(assessment, None, claimed), unresolved);
+            assert_eq!(resolve(assessment, Some(claimed), claimed), named);
+            assert_eq!(resolve(assessment, Some(other), claimed), elsewhere);
+        }
+    }
+
     #[test]
     fn chile_argentina_case_resolves_to_chile() {
         let (atlas, reg) = setup();
         // Fig. 15: region straddles the Andes; only Chile has DCs there.
         let region = land_region(atlas, -33.5, -69.5, 450.0);
         let cl = atlas.country_by_iso2("cl").unwrap();
-        assert_eq!(by_data_centers(reg, &region), Disambiguation::Resolved(cl));
+        assert_eq!(by_data_centers(reg, &region), Some(cl));
     }
 
     #[test]
@@ -141,7 +134,7 @@ mod tests {
         let (atlas, reg) = setup();
         // Benelux + western Germany: data centers in several countries.
         let region = land_region(atlas, 50.8, 5.5, 400.0);
-        assert_eq!(by_data_centers(reg, &region), Disambiguation::Unresolved);
+        assert_eq!(by_data_centers(reg, &region), None);
     }
 
     #[test]
@@ -149,7 +142,7 @@ mod tests {
         let (atlas, reg) = setup();
         // Deep Sahara.
         let region = land_region(atlas, 22.0, 5.0, 300.0);
-        assert_eq!(by_data_centers(reg, &region), Disambiguation::Unresolved);
+        assert_eq!(by_data_centers(reg, &region), None);
     }
 
     #[test]
@@ -160,11 +153,7 @@ mod tests {
         let toronto = land_region(atlas, 44.5, -79.0, 260.0); // Canada + a US sliver
         let ottawa = land_region(atlas, 46.8, -76.0, 220.0); // Canada only
         let ca = atlas.country_by_iso2("ca").unwrap();
-        let regions: Vec<&Region> = vec![&toronto, &ottawa];
-        assert_eq!(
-            by_colocation_group(atlas, &regions),
-            Disambiguation::Resolved(ca)
-        );
+        assert_eq!(by_group(atlas, &[&toronto, &ottawa]), Some(ca));
     }
 
     #[test]
@@ -172,33 +161,29 @@ mod tests {
         let (atlas, _) = setup();
         let a = land_region(atlas, 45.0, -75.0, 600.0);
         let b = land_region(atlas, 44.0, -77.0, 600.0);
-        let regions: Vec<&Region> = vec![&a, &b];
-        assert_eq!(
-            by_colocation_group(atlas, &regions),
-            Disambiguation::Unresolved
-        );
+        assert_eq!(by_group(atlas, &[&a, &b]), None);
     }
 
     #[test]
-    fn refine_uncertain_to_false_when_dc_country_differs() {
+    fn resolve_uncertain_to_false_when_dc_country_differs() {
         let (atlas, reg) = setup();
         let region = land_region(atlas, -33.5, -69.5, 450.0); // resolves to Chile
         let ar = atlas.country_by_iso2("ar").unwrap();
         let verdict = assess_claim(atlas, &region, ar);
         assert_eq!(verdict.assessment, Assessment::Uncertain);
-        let refined = refine_verdict(atlas, reg, &region, ar, verdict);
-        assert_eq!(refined.assessment, Assessment::False);
+        let refined = resolve(verdict.assessment, by_data_centers(reg, &region), ar);
+        assert_eq!(refined, Assessment::False);
     }
 
     #[test]
-    fn refine_uncertain_to_credible_when_dc_country_matches() {
+    fn resolve_uncertain_to_credible_when_dc_country_matches() {
         let (atlas, reg) = setup();
         let region = land_region(atlas, -33.5, -69.5, 450.0);
         let cl = atlas.country_by_iso2("cl").unwrap();
         let verdict = assess_claim(atlas, &region, cl);
         assert_eq!(verdict.assessment, Assessment::Uncertain);
-        let refined = refine_verdict(atlas, reg, &region, cl, verdict);
-        assert_eq!(refined.assessment, Assessment::Credible);
+        let refined = resolve(verdict.assessment, by_data_centers(reg, &region), cl);
+        assert_eq!(refined, Assessment::Credible);
     }
 
     #[test]
@@ -208,7 +193,7 @@ mod tests {
         let de = atlas.country_by_iso2("de").unwrap();
         let verdict = assess_claim(atlas, &region, de);
         assert_eq!(verdict.assessment, Assessment::Credible);
-        let refined = refine_verdict(atlas, reg, &region, de, verdict);
-        assert_eq!(refined.assessment, Assessment::Credible);
+        let refined = resolve(verdict.assessment, by_data_centers(reg, &region), de);
+        assert_eq!(refined, Assessment::Credible);
     }
 }

@@ -65,7 +65,11 @@ pub fn estimate_eta(
     })
 }
 
-fn min_of<F: FnMut() -> Option<f64>>(attempts: usize, mut f: F) -> Option<f64> {
+/// The minimum-of-N measurement rule: the smallest of up to `attempts`
+/// readings from `f`, skipping the attempts that got no answer; `None`
+/// when none answered. Every prober in the workspace takes its minimum
+/// here, so "min of N" means one thing everywhere.
+pub fn min_of<F: FnMut() -> Option<f64>>(attempts: usize, mut f: F) -> Option<f64> {
     let mut best: Option<f64> = None;
     for _ in 0..attempts {
         if let Some(v) = f() {
@@ -76,21 +80,18 @@ fn min_of<F: FnMut() -> Option<f64>>(attempts: usize, mut f: F) -> Option<f64> {
 }
 
 /// Correct a through-proxy RTT to an estimated proxy↔landmark RTT:
-/// `A = B − η·C`, floored at zero. A non-finite input stays non-finite
-/// (`f64::max` would silently turn NaN into 0.0 — the tightest possible
-/// constraint — so a corrupted reading must survive to be filtered
-/// upstream, not be laundered into fake precision).
-pub fn correct_indirect_rtt(measured_ms: f64, self_ping_ms: f64, eta: f64) -> f64 {
-    correct_indirect_rtt_checked(measured_ms, self_ping_ms, eta).0
-}
-
-/// [`correct_indirect_rtt`] plus an *infeasibility flag*: true when the
-/// subtraction went negative, i.e. the tunnel leg `η·C` claims to be
-/// longer than the whole through-proxy path `B`. Physically impossible
-/// for an honest proxy (light doesn't go backwards) — exactly what an
-/// adversary inflating its self-ping produces — so the caller should
-/// count it in `MeasurementDiagnostics::infeasible_readings` rather than
-/// silently accept the clamped 0 ms (the tightest possible constraint).
+/// `A = B − η·C`, floored at zero, plus an *infeasibility flag*: true
+/// when the subtraction went negative, i.e. the tunnel leg `η·C` claims
+/// to be longer than the whole through-proxy path `B`. Physically
+/// impossible for an honest proxy (light doesn't go backwards) — exactly
+/// what an adversary inflating its self-ping produces — so the caller
+/// should count it in `MeasurementDiagnostics::infeasible_readings`
+/// rather than silently accept the clamped 0 ms (the tightest possible
+/// constraint).
+///
+/// A non-finite input stays non-finite and unflagged (`f64::max` would
+/// silently turn NaN into 0.0, so a corrupted reading must survive to be
+/// filtered upstream, not be laundered into fake precision).
 pub fn correct_indirect_rtt_checked(measured_ms: f64, self_ping_ms: f64, eta: f64) -> (f64, bool) {
     let corrected = measured_ms - eta * self_ping_ms;
     if !corrected.is_finite() {
@@ -228,12 +229,6 @@ mod tests {
             (corrected - direct_floor).abs() < 2.0,
             "corrected {corrected} vs direct floor {direct_floor}"
         );
-    }
-
-    #[test]
-    fn correction_never_goes_negative() {
-        assert_eq!(correct_indirect_rtt(5.0, 100.0, 0.5), 0.0);
-        assert_eq!(correct_indirect_rtt(30.0, 20.0, 0.5), 20.0);
     }
 
     #[test]

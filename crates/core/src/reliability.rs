@@ -76,6 +76,19 @@ impl RetryPolicy {
             ..RetryPolicy::default()
         }
     }
+
+    /// Backoff before retry number `retry` (0-based), before any jitter:
+    /// `base_backoff_ms · backoff_factorʳᵉᵗʳʸ`, capped at `max_backoff_ms`.
+    pub fn backoff_ms(&self, retry: usize) -> f64 {
+        (self.base_backoff_ms * self.backoff_factor.powi(retry as i32)).min(self.max_backoff_ms)
+    }
+
+    /// Whether `ms` is a usable reading: finite and no more than
+    /// `timeout_ms`. Anything else is garbage or a timeout in disguise
+    /// and must back no constraint.
+    pub fn accepts_reading(&self, ms: f64) -> bool {
+        ms.is_finite() && ms <= self.timeout_ms
+    }
 }
 
 /// Everything that went wrong (and how hard we tried) during a
@@ -193,11 +206,9 @@ impl<P> ProbeScheduler<P> {
         std::mem::take(&mut self.diagnostics)
     }
 
-    /// Backoff before retry number `retry` (0-based), with jitter.
+    /// [`RetryPolicy::backoff_ms`] with the policy's jitter applied.
     fn backoff_ms(&mut self, retry: usize) -> f64 {
-        let raw = (self.policy.base_backoff_ms
-            * self.policy.backoff_factor.powi(retry as i32))
-        .min(self.policy.max_backoff_ms);
+        let raw = self.policy.backoff_ms(retry);
         if self.policy.jitter_frac > 0.0 {
             let j = self
                 .rng
@@ -250,9 +261,7 @@ impl<P> ProbeScheduler<P> {
                 self.inner.probe(network, landmark)
             };
             match reading {
-                Some(ms) if ms.is_finite() && ms <= self.policy.timeout_ms => {
-                    return Some(ms)
-                }
+                Some(ms) if self.policy.accepts_reading(ms) => return Some(ms),
                 Some(_) => {
                     self.diagnostics.corrupt_readings += 1;
                     network.recorder().count("rel.corrupt_reading", 1);
@@ -363,6 +372,32 @@ mod tests {
         ));
         topo.add_link(a, b, 1.0);
         Network::new(topo, 9)
+    }
+
+    #[test]
+    fn policy_backoff_grows_then_caps() {
+        let policy = RetryPolicy::default();
+        assert_eq!(policy.backoff_ms(0), 200.0);
+        assert_eq!(policy.backoff_ms(1), 400.0);
+        assert_eq!(policy.backoff_ms(4), 3_200.0);
+        // 200 · 2⁵ = 6 400 ms, over the 5 000 ms ceiling.
+        assert_eq!(policy.backoff_ms(5), policy.max_backoff_ms);
+        assert_eq!(policy.backoff_ms(30), policy.max_backoff_ms);
+    }
+
+    #[test]
+    fn policy_rejects_garbage_and_disguised_timeouts() {
+        let policy = RetryPolicy::default();
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            policy.timeout_ms + 0.001,
+        ] {
+            assert!(!policy.accepts_reading(bad), "{bad} accepted");
+        }
+        assert!(policy.accepts_reading(0.0));
+        assert!(policy.accepts_reading(policy.timeout_ms));
     }
 
     #[test]

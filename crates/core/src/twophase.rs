@@ -7,9 +7,9 @@
 //! Random selection spreads measurement load across the constellation.
 
 use crate::observation::Observation;
-use crate::proxy::ProxyContext;
+use crate::proxy::{min_of, ProxyContext};
 use crate::reliability::{MeasurementDiagnostics, ProbeScheduler, ReliabilityConfig};
-use atlas::{LandmarkServer, RttSample, WebTool};
+use atlas::{LandmarkServer, WebTool};
 use netsim::{Network, NodeId};
 use simrng::rngs::StdRng;
 use simrng::Rng;
@@ -43,14 +43,10 @@ pub struct CliProber {
 
 impl CliProber {
     fn min_connect(&self, network: &mut Network, landmark: NodeId, port: u16) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for _ in 0..self.attempts {
-            if let Some(d) = network.tcp_connect_rtt(self.client, landmark, port) {
-                let ms = network.corrupt_rtt_ms(d.as_ms());
-                best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-            }
-        }
-        best
+        min_of(self.attempts, || {
+            let d = network.tcp_connect_rtt(self.client, landmark, port)?;
+            Some(network.corrupt_rtt_ms(d.as_ms()))
+        })
     }
 }
 
@@ -78,14 +74,10 @@ pub struct PingProber {
 
 impl RttProber for PingProber {
     fn probe(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for _ in 0..self.attempts {
-            if let Some(d) = network.ping(self.client, landmark) {
-                let ms = network.corrupt_rtt_ms(d.as_ms());
-                best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-            }
-        }
-        best
+        min_of(self.attempts, || {
+            let d = network.ping(self.client, landmark)?;
+            Some(network.corrupt_rtt_ms(d.as_ms()))
+        })
     }
 
     fn probe_fallback(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
@@ -112,18 +104,11 @@ pub struct WebProber {
 
 impl RttProber for WebProber {
     fn probe(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        let mut best: Option<RttSample> = None;
-        for _ in 0..self.attempts {
-            if let Some(s) = self.tool.measure(network, self.client, landmark, &mut self.rng)
-            {
-                best = Some(match best {
-                    None => s,
-                    Some(b) if s.rtt_ms < b.rtt_ms => s,
-                    Some(b) => b,
-                });
-            }
-        }
-        best.map(|s| s.rtt_ms)
+        min_of(self.attempts, || {
+            self.tool
+                .measure(network, self.client, landmark, &mut self.rng)
+                .map(|s| s.rtt_ms)
+        })
     }
 }
 
@@ -481,7 +466,10 @@ pub fn run_two_phase_reliable<P: RttProber, R: Rng + ?Sized>(
     }
 }
 
-fn make_observation(server: &LandmarkServer<'_>, id: usize, rtt_ms: f64) -> Observation {
+/// The one observation builder: landmark `id`'s location, half the
+/// round trip `rtt_ms` as the one-way delay, and the landmark's
+/// calibration scatter.
+pub fn make_observation(server: &LandmarkServer<'_>, id: usize, rtt_ms: f64) -> Observation {
     let lm = &server.constellation().landmarks()[id];
     Observation::new(lm.location, rtt_ms / 2.0, server.calibration_for(id).clone())
 }

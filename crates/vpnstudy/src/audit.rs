@@ -9,12 +9,13 @@ use geokit::{GeoGrid, GeoPoint, Region};
 use geoloc::algorithms::CbgPlusPlus;
 use geoloc::assess::{assess_claim, Assessment, ClaimVerdict, ContinentVerdict};
 use geoloc::defense::{run_defense, DefenseReport, TunnelPings};
-use geoloc::disambiguate::{by_data_centers, by_touched_sets, Disambiguation};
+use geoloc::disambiguate::{by_data_centers, by_touched_sets, resolve};
 use geoloc::iclab::{IclabChecker, IclabVerdict};
-use geoloc::proxy::{estimate_eta, EtaEstimate, ProxyContext, DEFAULT_ETA};
+use geoloc::proxy::{estimate_eta, min_of, EtaEstimate, ProxyContext, DEFAULT_ETA};
 use geoloc::reliability::{MeasurementDiagnostics, ProbeScheduler};
-use geoloc::observation::Observation;
-use geoloc::twophase::{run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber};
+use geoloc::twophase::{
+    make_observation, run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber,
+};
 use netsim::{FilterPolicy, Network, NodeId, SimDuration, WorldNet, WorldNetConfig};
 use obs::snapshot::{
     ProgressSnapshot, ProxyOutcome as SnapshotOutcome, ProxyStat, SnapshotBuilder, WallProgress,
@@ -434,10 +435,9 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
     let mut ctx_established = None;
     for attempt in 0..reliability.retry.max_attempts.max(1) {
         if attempt > 0 {
-            let wait = (reliability.retry.base_backoff_ms
-                * reliability.retry.backoff_factor.powi(attempt as i32 - 1))
-            .min(reliability.retry.max_backoff_ms);
-            net.advance(SimDuration::from_ms(wait));
+            net.advance(SimDuration::from_ms(
+                reliability.retry.backoff_ms(attempt - 1),
+            ));
         }
         establish_attempts += 1;
         ctx_established = ProxyContext::establish(
@@ -487,28 +487,20 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
     diagnostics.infeasible_readings += scheduler.inner.stats.infeasible_readings;
     let two_phase = match (outcome.status, outcome.result) {
         (MeasurementStatus::Ok, Some(r)) => r,
-        (MeasurementStatus::InsufficientData, _) => {
+        (status, _) => {
+            let (label, failure) = if status == MeasurementStatus::InsufficientData {
+                ("insufficient_data", MeasureFailure::InsufficientData)
+            } else {
+                ("unmeasurable", MeasureFailure::Unmeasurable)
+            };
             drop(span);
             return finish_proxy(
                 rec,
                 &net,
-                "insufficient_data",
+                label,
                 ProxyResult::Failure(UnmeasuredProxy {
                     proxy,
-                    failure: MeasureFailure::InsufficientData,
-                    diagnostics,
-                }),
-            );
-        }
-        _ => {
-            drop(span);
-            return finish_proxy(
-                rec,
-                &net,
-                "unmeasurable",
-                ProxyResult::Failure(UnmeasuredProxy {
-                    proxy,
-                    failure: MeasureFailure::Unmeasurable,
+                    failure,
                     diagnostics,
                 }),
             );
@@ -523,20 +515,9 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
     let verdict = assess_claim(atlas, &prediction.region, proxy.claimed);
 
     // Data-center disambiguation (Fig. 15).
-    let dc_country = match by_data_centers(registry, &prediction.region) {
-        Disambiguation::Resolved(c) => Some(c),
-        Disambiguation::Unresolved => None,
-    };
+    let dc_country = by_data_centers(registry, &prediction.region);
     let mut refined = verdict.clone();
-    if refined.assessment == Assessment::Uncertain {
-        if let Some(c) = dc_country {
-            refined.assessment = if c == proxy.claimed {
-                Assessment::Credible
-            } else {
-                Assessment::False
-            };
-        }
-    }
+    refined.assessment = resolve(verdict.assessment, dc_country, proxy.claimed);
 
     // Byzantine defense (opt-in): look for evidence of actively shaped
     // measurements, re-locate on the trimmed observation set, and
@@ -575,13 +556,9 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
                     scheduler.inner.probe_fallback(&mut net, lm.node)
                 };
                 match reading {
-                    Some(ms) if ms.is_finite() => {
+                    Some(ms) if scheduler.policy.accepts_reading(ms) => {
                         swept_ok += 1;
-                        defense_obs.push(Observation::new(
-                            lm.location,
-                            ms / 2.0,
-                            server.calibration_for(id).clone(),
-                        ));
+                        defense_obs.push(make_observation(server, id, ms));
                     }
                     Some(_) => {
                         diagnostics.corrupt_readings += 1;
@@ -599,14 +576,9 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
         // honest tunnel satisfies η·C ≈ D (Fig. 13), so a wildly larger
         // self-ping is evidence no amount of reply-shaping can hide.
         let direct_ping_ms = if proxy.pingable {
-            let mut best: Option<f64> = None;
-            for _ in 0..config.self_ping_attempts {
-                if let Some(d) = net.ping(client, proxy.node) {
-                    let ms = d.as_ms();
-                    best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-                }
-            }
-            best
+            min_of(config.self_ping_attempts, || {
+                net.ping(client, proxy.node).map(|d| d.as_ms())
+            })
         } else {
             None
         };
@@ -634,15 +606,11 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
                 .collect();
             let robust = CbgPlusPlus.locate_traced(&kept, mask, &rec);
             refined = assess_claim(atlas, &robust.region, proxy.claimed);
-            if refined.assessment == Assessment::Uncertain {
-                if let Disambiguation::Resolved(c) = by_data_centers(registry, &robust.region) {
-                    refined.assessment = if c == proxy.claimed {
-                        Assessment::Credible
-                    } else {
-                        Assessment::False
-                    };
-                }
-            }
+            refined.assessment = resolve(
+                refined.assessment,
+                by_data_centers(registry, &robust.region),
+                proxy.claimed,
+            );
         }
         // Evidence of tampering withholds any verdict short of False:
         // a proven-false claim stays false (the lie is established), but
@@ -749,16 +717,10 @@ fn apply_group_disambiguation(records: &mut [ProxyRecord]) {
             .map(|&i| records[i].verdict.touched.iter().map(|&(c, _)| c).collect())
             .collect();
         let refs: Vec<&[CountryId]> = touched_sets.iter().map(Vec::as_slice).collect();
-        if let Disambiguation::Resolved(country) = by_touched_sets(&refs) {
-            for &i in members {
-                if records[i].refined.assessment == Assessment::Uncertain {
-                    records[i].refined.assessment = if country == records[i].proxy.claimed {
-                        Assessment::Credible
-                    } else {
-                        Assessment::False
-                    };
-                }
-            }
+        let country = by_touched_sets(&refs);
+        for &i in members {
+            let r = &mut records[i];
+            r.refined.assessment = resolve(r.refined.assessment, country, r.proxy.claimed);
         }
     }
 }

@@ -14,7 +14,7 @@
 //! are merged with union-find into same-LAN groups.
 
 use crate::providers::DeployedProxy;
-use geoloc::proxy::correct_indirect_rtt;
+use geoloc::proxy::{correct_indirect_rtt_checked, min_of};
 use netsim::{Network, NodeId};
 
 /// The paper's same-local-network threshold, ms.
@@ -31,14 +31,10 @@ pub fn proxy_pair_rtt_ms(
     eta: f64,
     attempts: usize,
 ) -> Option<f64> {
-    let mut best: Option<f64> = None;
-    for _ in 0..attempts {
-        if let Some(rtt) = network.tcp_connect_via_proxy_rtt(client, proxy_a, proxy_b, 443) {
-            let corrected = correct_indirect_rtt(rtt.as_ms(), self_ping_a_ms, eta);
-            best = Some(best.map_or(corrected, |b: f64| b.min(corrected)));
-        }
-    }
-    best
+    min_of(attempts, || {
+        let rtt = network.tcp_connect_via_proxy_rtt(client, proxy_a, proxy_b, 443)?;
+        Some(correct_indirect_rtt_checked(rtt.as_ms(), self_ping_a_ms, eta).0)
+    })
 }
 
 /// A detected same-LAN group: indices into the proxy list.
