@@ -7,11 +7,19 @@ set -eu
 export CARGO_NET_OFFLINE=true
 
 cargo build --release --offline
-cargo test -q --offline
 
-# The crate unit tests (audit, disambiguation, reliability, campaign
-# scoring, ...) live in the member crates, which the root-package run
-# above does not reach.
+# One run of every test in the workspace: the member crates' unit tests
+# (audit, disambiguation, reliability, campaign scoring, ...) and the
+# root package's integration tests, which include the exact paper-scale
+# ratchets (tests/ratchets.rs) and three smokes:
+#  - tests/fault_campaign.rs: the audit under probe loss + landmark
+#    outages must stay deterministic and account for every proxy;
+#  - tests/adversary_campaign.rs: active timing attacks must be caught
+#    (or provably harmless), and an armed, defended study must stay
+#    byte-deterministic across thread counts;
+#  - tests/verdict_store.rs: write a study epoch to disk, reopen the
+#    file cold, and answer the lookup/trend/false-rate queries without
+#    re-measurement.
 cargo test -q --offline --workspace
 
 # The benchmark under perfbench/ is a separate, frozen crate that calls
@@ -28,15 +36,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # Every example must at least build; quickstart must actually run.
 cargo build --release --examples --offline
 cargo run -q --release --offline --example quickstart > /dev/null
-
-# Reliability smoke: the audit under probe loss + landmark outages must
-# stay deterministic and account for every proxy.
-cargo test -q --offline --test fault_campaign
-
-# Adversary smoke: active timing attacks must be caught (or provably
-# harmless), and an armed, defended study must stay byte-deterministic
-# across thread counts.
-cargo test -q --offline --test adversary_campaign
 
 # Parallelism determinism gate: the rendered study report — including
 # the observability block and the full JSONL event trace — must be
@@ -76,11 +75,6 @@ cmp bench_output_paper/headline.txt "$report_dir/paper/headline.txt" || {
     exit 1
 }
 
-# Verdict-store smoke: write a study epoch to disk, reopen the file
-# cold, and answer the lookup/trend/false-rate queries without
-# re-measurement (tests/verdict_store.rs).
-cargo test -q --offline --test verdict_store
-
 # Telemetry export gate (tests/ops_telemetry.rs is the in-process
 # version; this is the shipped binary):
 #  1. the deterministic subset of the OpenMetrics exposition must be
@@ -90,7 +84,7 @@ cargo test -q --offline --test verdict_store
 #     OpenMetrics parser byte-for-byte and lint clean against the
 #     metric-name registry;
 #  3. the SLO mode must exit zero on a healthy run (it exits 1 when any
-#     default rule fires — the release pipeline's alerting hook).
+#     of the SLO rules fires — the release pipeline's alerting hook).
 PV_THREADS=1 cargo run -q --release --offline -p bench --bin metrics_export \
     > "$report_dir/metrics-1thread.om"
 PV_THREADS=8 cargo run -q --release --offline -p bench --bin metrics_export \
@@ -104,7 +98,7 @@ cargo run -q --release --offline -p bench --bin metrics_export -- --slo
 
 # Perf lab smoke (see EXPERIMENTS.md "Perf lab"): the profiler must
 # render a span tree for a full (small) audit. The perf checks that fail
-# CI are the exact paper-scale ratchets in tests/ratchets.rs, run by
-# `cargo test` above.
+# CI are the exact paper-scale ratchets in tests/ratchets.rs, run by the
+# workspace `cargo test` above.
 cargo run -q --release --offline -p bench --bin figures -- profile --scale small \
     > /dev/null

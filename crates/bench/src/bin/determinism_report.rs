@@ -6,10 +6,9 @@
 //! nothing the study reports. Everything printed here must therefore be
 //! a pure function of the study seed: the perf telemetry block
 //! (`render_perf_telemetry`) is absent because it prints the worker
-//! count. The observability block, the deterministic half
-//! of the progress-snapshot stream, and the full JSONL event trace are
-//! included too: per-proxy event buffers and snapshot deltas are merged
-//! in proxy order, so they must be byte-identical at any thread count.
+//! count. The observability block and the full JSONL event trace are
+//! included too: per-proxy event buffers are merged in proxy order, so
+//! they must be byte-identical at any thread count.
 
 use vpnstudy::audit::Study;
 use vpnstudy::campaign::{shaping_plan, AdversaryModel};
@@ -28,12 +27,6 @@ fn main() {
     println!("---");
     print!("{}", report::render_observability(&results));
     println!("---");
-    // The deterministic half of each progress snapshot: a pure function
-    // of (seed, snapshot_every), so it diffs byte-identically across
-    // every thread count. The wall half (elapsed, ETA) is
-    // deliberately absent from this rendering.
-    print!("{}", results.snapshots_jsonl());
-    println!("---");
     print!("{}", results.trace_jsonl());
 
     // The same gate with the active-adversary layer armed and the
@@ -51,8 +44,6 @@ fn main() {
     print!("{}", report::render_reliability(&armed_results));
     println!("---");
     print!("{}", report::render_observability(&armed_results));
-    println!("---");
-    print!("{}", armed_results.snapshots_jsonl());
     println!("---");
     print!("{}", armed_results.trace_jsonl());
 }

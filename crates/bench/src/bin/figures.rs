@@ -40,7 +40,7 @@ const FIGURES: &[(&str, &str)] = &[
     ("trace", "observability trace: probe outcomes, retries, region funnel (not a paper figure)"),
     ("profile", "hierarchical span profile of the audit run, wall-clock (not a paper figure)"),
     ("store", "verdict store: provider trends, country false rates, revalidation queue (not a paper figure)"),
-    ("ops", "operational telemetry: SLO dashboard + OpenMetrics/Perfetto/snapshot sidecars (not a paper figure)"),
+    ("ops", "operational telemetry: SLO dashboard + OpenMetrics/Perfetto sidecars (not a paper figure)"),
 ];
 
 fn main() {
@@ -146,14 +146,13 @@ fn main() {
             "store" => figures::verdict_store(study_ctx(&mut study, scale)),
             "ops" => {
                 let bundle = figures::ops_telemetry(study_ctx(&mut study, scale));
-                // The exposition, trace, and snapshot stream are
-                // machine-readable sidecars, not dashboard text.
+                // The exposition and trace are machine-readable
+                // sidecars, not dashboard text.
                 if let Some(dir) = &out_dir {
                     std::fs::create_dir_all(dir).expect("create output dir");
                     for (name, body) in [
                         ("ops.metrics.om", &bundle.metrics),
                         ("ops.trace.json", &bundle.trace),
-                        ("ops.snapshots.jsonl", &bundle.snapshots),
                     ] {
                         let path = format!("{dir}/{name}");
                         std::fs::write(&path, body).expect("write ops sidecar");

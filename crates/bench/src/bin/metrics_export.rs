@@ -5,7 +5,7 @@
 //! metrics_export                  # deterministic subset (byte-diffable)
 //! metrics_export --full           # the whole exposition, wall families too
 //! metrics_export --check          # self-parse: render → parse → render
-//! metrics_export --slo            # evaluate the default SLO ruleset;
+//! metrics_export --slo            # evaluate vpnstudy::ops::SLO_RULES;
 //!                                 # exit 1 if any alert fires
 //! ```
 //!

@@ -1,20 +1,17 @@
 //! The operational-telemetry bundle (not a paper figure): everything an
 //! operator would scrape or load from a finished audit —
 //!
-//! * the ops dashboard (`report::render_ops`): progress, quantiles,
-//!   and the SLO verdict under the default ruleset;
+//! * the ops dashboard (`report::render_ops`): proxies audited,
+//!   quantiles, the SLO verdict, and the ruleset it was judged by;
 //! * the full OpenMetrics exposition, round-tripped through the in-repo
 //!   parser before it leaves this function;
 //! * the Perfetto/Chrome trace-event JSON of the span profile and sim
-//!   clock, loadable at `ui.perfetto.dev`;
-//! * the full progress-snapshot JSONL (wall compartment included — use
-//!   `StudyResults::snapshots_jsonl` for determinism diffs, not this).
+//!   clock, loadable at `ui.perfetto.dev`.
 //!
 //! The dashboard is what `figures ops` prints; with `--out` the other
-//! three land as sidecar files next to it.
+//! two land as sidecar files next to it.
 
 use crate::scale::StudyContext;
-use std::fmt::Write as _;
 use vpnstudy::ops;
 use vpnstudy::report;
 
@@ -26,9 +23,6 @@ pub struct OpsBundle {
     pub metrics: String,
     /// Perfetto trace-event JSON (`ops.trace.json`).
     pub trace: String,
-    /// Full snapshot JSONL, wall compartment included
-    /// (`ops.snapshots.jsonl`).
-    pub snapshots: String,
 }
 
 /// Build the full telemetry bundle from a finished study run.
@@ -45,13 +39,12 @@ pub fn ops_telemetry(ctx: &StudyContext) -> OpsBundle {
 
     let alerts = ops::evaluate_slos(&set, None);
     let mut dashboard = report::render_ops(results, &set, &alerts);
-    let _ = writeln!(dashboard, "--- SLO ruleset ---");
-    let _ = write!(dashboard, "{}", ops::DEFAULT_RULES);
+    dashboard.push_str("--- SLO ruleset ---\n");
+    dashboard.push_str(&ops::render_rules());
 
     OpsBundle {
         dashboard,
         metrics,
         trace: obs::perfetto::render_trace(&results.obs),
-        snapshots: results.snapshots_full_jsonl(),
     }
 }

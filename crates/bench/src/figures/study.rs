@@ -75,9 +75,11 @@ pub fn fig16_colocation_group(ctx: &StudyContext) -> String {
         );
         groups.entry(key).or_default().push(i);
     }
+    // Ties go to the smallest (provider, country, AS) key, so the pick
+    // never depends on hash order.
     let Some((key, members)) = groups
         .into_iter()
-        .max_by_key(|(_, v)| v.len()) else {
+        .max_by_key(|(k, v)| (v.len(), std::cmp::Reverse(*k))) else {
             return "# Fig.16: no groups\n".into();
         };
     let provider = ctx.study.providers.profiles[key.0].name;
@@ -144,12 +146,15 @@ pub fn fig17_overall(ctx: &StudyContext) -> String {
         *probable.entry(probable_country).or_default() += 1;
     }
     for (name, map) in [("alleged", &alleged), ("probable", &probable)] {
-        let mut rows: Vec<(usize, usize)> = map.iter().map(|(&c, &n)| (c, n)).collect();
-        rows.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        // Count descending, then ISO code ascending: equal counts never
+        // print in hash order.
+        let mut rows: Vec<(&str, usize)> =
+            map.iter().map(|(&c, &n)| (atlas.country(c).iso2(), n)).collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let line: Vec<String> = rows
             .iter()
             .take(15)
-            .map(|&(c, n)| format!("{}:{n}", atlas.country(c).iso2()))
+            .map(|&(iso, n)| format!("{iso}:{n}"))
             .collect();
         let _ = writeln!(out, "{name} countries: {}", line.join(" "));
     }
@@ -355,4 +360,29 @@ pub fn headline_numbers(ctx: &StudyContext) -> String {
         res.coverage_of_truth() * 100.0
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scale::Scale;
+    use vpnstudy::Study;
+
+    /// Figs. 16 and 17 pick and order among equal counts; every render
+    /// of one study must print the same text, whatever the hash seeds
+    /// of the maps they count in.
+    #[test]
+    fn fig16_and_fig17_render_identically_every_time() {
+        let mut config = Scale::Small.study_config();
+        config.obs_level = obs::Level::Off;
+        let mut study = Study::build(config);
+        let results = study.run();
+        let ctx = StudyContext { study, results };
+        for render in [fig16_colocation_group, fig17_overall] {
+            let first = render(&ctx);
+            for _ in 0..4 {
+                assert_eq!(render(&ctx), first);
+            }
+        }
+    }
 }

@@ -43,7 +43,6 @@ impl Scale {
                 reliability: geoloc::ReliabilityConfig::default(),
                 obs_level: obs::Level::Events,
                 defense: geoloc::DefenseConfig::default(),
-                snapshot_every: 25,
             },
             Scale::Paper => StudyConfig::paper(),
         }

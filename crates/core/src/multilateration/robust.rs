@@ -148,17 +148,6 @@ pub struct RobustSubsetResult {
     pub discarded: Vec<usize>,
 }
 
-impl RobustSubsetResult {
-    /// Fraction of the given constraints the final region satisfies.
-    pub fn satisfied_fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.satisfied as f64 / self.total as f64
-        }
-    }
-}
-
 /// The trimmed max-consistent-subset search: exclude `flagged`
 /// constraints, run the subset search over the rest, and name any
 /// surviving constraint the search still discarded.

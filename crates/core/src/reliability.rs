@@ -22,10 +22,9 @@
 //! `rel.backoff_us` histograms — all registered in `obs::registry`
 //! (exposed as `pv_retry_total`, `pv_scheduler_fallback_total`,
 //! `pv_retry_exhaustion_total`, `pv_landmark_attempts`,
-//! `pv_retry_backoff_microseconds`). `rel.retry` feeds the per-proxy
-//! progress snapshots, and `rel.dead_landmark` is the counter behind
-//! the default `retry_exhaustion` SLO rule, so renaming any of these
-//! raw names is a registry change, not a local edit.
+//! `pv_retry_backoff_microseconds`). `rel.dead_landmark` is the
+//! counter behind the `retry_exhaustion` SLO rule, so renaming any of
+//! these raw names is a registry change, not a local edit.
 
 use crate::twophase::RttProber;
 use netsim::{Network, NodeId, SimDuration};

@@ -204,14 +204,6 @@ impl Shape {
         }
     }
 
-    /// A representative interior point (cap centre / box centre).
-    pub fn representative_point(&self) -> GeoPoint {
-        match self {
-            Shape::Cap(c) => c.center,
-            Shape::Box(b) => b.center(),
-        }
-    }
-
     /// Minimum great-circle distance from `p` to the shape, 0 if inside.
     ///
     /// For boxes this is approximate (distance to the nearest of the box

@@ -160,11 +160,6 @@ impl Network {
         self.now = self.now + d;
     }
 
-    /// Set how long an unanswered probe occupies the clock.
-    pub fn set_probe_timeout(&mut self, d: SimDuration) {
-        self.probe_timeout = d;
-    }
-
     /// The topology (read-only).
     pub fn topology(&self) -> &Topology {
         &self.topo

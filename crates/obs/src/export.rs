@@ -418,11 +418,6 @@ impl Exposition {
         None
     }
 
-    /// Total sample lines across all families.
-    pub fn sample_count(&self) -> usize {
-        self.families.iter().map(|f| f.samples.len()).sum()
-    }
-
     /// Re-render the parsed document. For everything the in-repo writer
     /// emits, `render(parse(text)) == text` — the round-trip CI checks.
     pub fn render(&self) -> String {

@@ -49,13 +49,20 @@
 //! in proxy order). Counters and histograms are commutative merges;
 //! events are concatenated in absorb order — which is why absorb order
 //! must be deterministic.
+//!
+//! ## Export
+//!
+//! The crate records and exports; it holds no policy. [`export`]
+//! renders a recorder as OpenMetrics against the metric-name
+//! [`registry`], [`perfetto`] renders the span profile as a trace-event
+//! file, and [`json`] is the parser the tests read both back with. The
+//! SLO rules that judge the exported numbers live with the study
+//! (`vpnstudy::ops`).
 
-pub mod alert;
 pub mod export;
 pub mod json;
 pub mod perfetto;
 pub mod registry;
-pub mod snapshot;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -479,11 +486,6 @@ impl Recorder {
             return;
         }
         self.lock().now_ns = t_ns;
-    }
-
-    /// The recorder's current simulation time, nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.lock().now_ns
     }
 
     /// Emit a structured event timestamped with the last known sim time.

@@ -232,10 +232,6 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Self (non-child) profile span time by tree path."),
     dyn_def("pv_progress_proxies_done", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Proxies audited, global deterministic order."),
-    dyn_def("pv_progress_proxies_total", MetricKind::Gauge, &[], Compartment::Deterministic,
-        "Proxies the study set out to audit."),
-    dyn_def("pv_progress_snapshots_total", MetricKind::Counter, &[], Compartment::Deterministic,
-        "Progress snapshots emitted by the audit master."),
     dyn_def("pv_probe_loss_rate", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Fraction of sent probes that never completed."),
     dyn_def("pv_suspicious_rate", MetricKind::Gauge, &["provider"], Compartment::Deterministic,
@@ -244,12 +240,12 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Urgent-priority verdicts overdue for revalidation in the store."),
     dyn_def("pv_store_epochs", MetricKind::Gauge, &[], Compartment::Wall,
         "Study epochs recorded in the verdict store."),
+    dyn_def("pv_store_dropped_bytes", MetricKind::Gauge, &[], Compartment::Wall,
+        "Bytes of a torn trailing epoch the verdict store dropped on open."),
     dyn_def("pv_audit_threads", MetricKind::Gauge, &[], Compartment::Wall,
         "Worker threads the audit fanned out over."),
     dyn_def("pv_audit_elapsed_ms", MetricKind::Gauge, &[], Compartment::Wall,
         "Wall-clock milliseconds the audit run took."),
-    dyn_def("pv_eta_ms", MetricKind::Gauge, &[], Compartment::Wall,
-        "Estimated wall-clock milliseconds of audit work remaining."),
 ];
 
 const PROBE_HELP: &str = "Probes by terminal outcome.";

@@ -17,9 +17,6 @@ use geoloc::twophase::{
     make_observation, run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber,
 };
 use netsim::{FilterPolicy, Network, NodeId, SimDuration, WorldNet, WorldNetConfig};
-use obs::snapshot::{
-    ProgressSnapshot, ProxyOutcome as SnapshotOutcome, ProxyStat, SnapshotBuilder, WallProgress,
-};
 use obs::Recorder;
 use simrng::rngs::StdRng;
 use simrng::SeedableRng;
@@ -133,13 +130,10 @@ pub struct StudyResults {
     pub obs: Recorder,
     /// Worker count the audit actually ran with.
     pub threads: usize,
-    /// Progress snapshots emitted during the run, one every
-    /// [`StudyConfig::snapshot_every`] proxies plus a final one. The
-    /// deterministic compartment of each snapshot is a pure function of
-    /// the study seed ([`StudyResults::snapshots_jsonl`] is what the
-    /// determinism gates diff); the wall compartment is filled in from
-    /// the run's elapsed time and stays out of every diff.
-    pub snapshots: Vec<ProgressSnapshot>,
+    /// Wall-clock milliseconds the audit took, from η estimation until
+    /// the last proxy's trace is absorbed. Never part of a determinism
+    /// diff.
+    pub elapsed_ms: u64,
 }
 
 /// The shape [`StudyResults::cache_stats`] returns: always zeros.
@@ -207,8 +201,8 @@ impl Study {
     /// [`Recorder`] of its own, and its outcome is a pure function of
     /// `(config.seed, proxy.node)` and the shared read-only world. The
     /// per-proxy traces are absorbed in proxy order, never in
-    /// completion order, so the merged trace, the records and the
-    /// snapshot stream do not depend on scheduling.
+    /// completion order, so the merged trace and the records do not
+    /// depend on scheduling.
     pub fn run_with_threads(&mut self, threads: usize) -> StudyResults {
         let threads = threads.max(1);
         let started = Instant::now();
@@ -274,14 +268,7 @@ impl Study {
         let absorb_span = recorder.profile_span("audit.absorb");
         let mut records: Vec<ProxyRecord> = Vec::with_capacity(outcomes.len());
         let mut failures: Vec<UnmeasuredProxy> = Vec::new();
-        let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
-            // Capture the proxy's deterministic delta off its still-private
-            // trace *before* it folds into the study recorder: the loop is
-            // single-threaded and proxy-ordered, so the stat stream is a
-            // pure function of the seed regardless of how many workers
-            // measured.
-            proxy_stats.push(proxy_stat(&outcome));
             recorder.absorb(&outcome.trace);
             match outcome.result {
                 ProxyResult::Record(r) => records.push(*r),
@@ -301,25 +288,6 @@ impl Study {
         // Co-location group disambiguation (Fig. 16): within a group, the
         // true country must be common to every member's touched set.
         apply_group_disambiguation(&mut records);
-
-        // Build the snapshot stream: the per-proxy stats are in proxy
-        // order, so the deterministic compartment of every snapshot is a
-        // pure function of (seed, snapshot_every). Wall fields pro-rate
-        // the run's elapsed time over the stream and never enter a
-        // determinism diff.
-        let every = self.config.snapshot_every.max(1) as u64;
-        let mut builder = SnapshotBuilder::new(proxy_stats.len() as u64, every);
-        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
-        for stat in &proxy_stats {
-            if let Some(mut snap) = builder.push(stat) {
-                let done_ms = (elapsed_ms as f64 * snap.ratio()) as u64;
-                snap.wall = WallProgress {
-                    elapsed_ms: done_ms,
-                    eta_ms: elapsed_ms.saturating_sub(done_ms),
-                };
-                snapshots.push(snap);
-            }
-        }
         drop(merge_span);
 
         let unmeasured = failures.len();
@@ -330,32 +298,8 @@ impl Study {
             unmeasured,
             obs: recorder,
             threads,
-            snapshots,
+            elapsed_ms,
         }
-    }
-}
-
-/// Read one finished proxy's deterministic delta off its worker-local
-/// trace: probe/retry counters, the final sim-clock stamp, and the
-/// outcome classification the `audit.*` ledger counters use.
-fn proxy_stat(outcome: &ProxyOutcome) -> ProxyStat {
-    let (node, kind) = match &outcome.result {
-        ProxyResult::Record(r) => (r.proxy.node, SnapshotOutcome::Measured),
-        ProxyResult::Failure(f) => (
-            f.proxy.node,
-            match f.failure {
-                MeasureFailure::InsufficientData => SnapshotOutcome::Insufficient,
-                MeasureFailure::Unmeasurable => SnapshotOutcome::Unmeasurable,
-            },
-        ),
-    };
-    ProxyStat {
-        node,
-        sim_now_ns: outcome.trace.now_ns(),
-        probes_sent: outcome.trace.counter("net.probe.sent"),
-        probes_timeout: outcome.trace.counter("net.probe.timeout"),
-        retries: outcome.trace.counter("rel.retry"),
-        outcome: kind,
     }
 }
 
@@ -667,10 +611,8 @@ fn finish_proxy(
         },
         1,
     );
-    // Stamp the final sim time unconditionally (a no-op at Level::Off):
-    // the snapshot stream reads it even when the event trace is off.
-    rec.set_now_ns(net.now().as_nanos());
     if rec.events_enabled() {
+        rec.set_now_ns(net.now().as_nanos());
         rec.event("audit", "proxy_done", vec![("status", status.into())]);
     }
     ProxyOutcome { result, trace: rec }
@@ -818,26 +760,6 @@ impl StudyResults {
     /// Empty unless the study ran at [`obs::Level::Events`].
     pub fn trace_jsonl(&self) -> String {
         self.obs.events_jsonl()
-    }
-
-    /// The deterministic compartment of every progress snapshot as
-    /// JSONL — byte-identical for any `PV_THREADS`, so the
-    /// determinism gates diff it alongside the event trace.
-    pub fn snapshots_jsonl(&self) -> String {
-        self.snapshots
-            .iter()
-            .map(ProgressSnapshot::deterministic_jsonl)
-            .collect()
-    }
-
-    /// Both compartments of every progress snapshot as JSONL (wall
-    /// fields under a `"wall"` key) — the operator-facing rendering
-    /// `figures ops` writes to disk. **Not** determinism-diff safe.
-    pub fn snapshots_full_jsonl(&self) -> String {
-        self.snapshots
-            .iter()
-            .map(ProgressSnapshot::full_jsonl)
-            .collect()
     }
 
     /// Aggregate the per-proxy measurement diagnostics into one
@@ -1009,57 +931,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_stream_covers_every_proxy() {
-        let (study, res) = results();
-        let n = study.providers.proxies.len() as u64;
-        let every = study.config.snapshot_every.max(1) as u64;
-        let expected = (n / every) + u64::from(!n.is_multiple_of(every));
-        assert_eq!(res.snapshots.len() as u64, expected);
-        let last = res.snapshots.last().expect("snapshots emitted");
-        assert_eq!(last.proxies_done, n);
-        assert_eq!(last.proxies_total, n);
-        assert_eq!(last.measured as usize, res.records.len());
-        assert_eq!(
-            last.measured + last.insufficient + last.unmeasurable,
-            n,
-            "snapshot outcome tallies must partition the fleet"
-        );
-        // Per-proxy probe counters sum to at most the study total (the
-        // master's own η-estimation probes are outside any proxy).
-        assert!(last.probes_sent > 0);
-        assert!(last.probes_sent <= res.obs.counter("net.probe.sent"));
-        assert!(last.sim_now_ns > 0, "sim clock never stamped");
-        // Sequence numbers are dense and done counts are increasing.
-        for (i, s) in res.snapshots.iter().enumerate() {
-            assert_eq!(s.seq, i as u64);
-            if i > 0 {
-                assert!(s.proxies_done > res.snapshots[i - 1].proxies_done);
-            }
-        }
-        assert_eq!(
-            res.snapshots_jsonl().lines().count(),
-            res.snapshots.len()
-        );
-        // Wall split: the deterministic rendering never mentions wall
-        // fields; the full rendering carries them on every line.
-        assert!(!res.snapshots_jsonl().contains("wall"));
-        assert_eq!(
-            res.snapshots_full_jsonl().matches("\"wall\"").count(),
-            res.snapshots.len()
-        );
-    }
-
-    #[test]
     fn progress_wall_clock_runs_with_recording_off() {
         let mut cfg = StudyConfig::small(41);
         cfg.total_proxies = 12;
         cfg.obs_level = obs::Level::Off;
         let mut study = Study::build(cfg);
         let res = study.run_with_threads(1);
-        // The profiler is a no-op at `Off`; the progress clock is not.
+        // The profiler is a no-op at `Off`; the run's wall clock is not.
         assert!(res.obs.profile().is_empty());
-        let last = res.snapshots.last().expect("a snapshot");
-        assert!(last.wall.elapsed_ms > 0, "{:?}", last.wall);
+        assert!(res.elapsed_ms > 0);
     }
 
     #[test]
@@ -1266,7 +1146,7 @@ mod tests {
             unmeasured: 0,
             obs: Recorder::off(),
             threads: 1,
-            snapshots: Vec::new(),
+            elapsed_ms: 0,
         }
     }
 

@@ -42,12 +42,6 @@ pub struct StudyConfig {
     /// the baseline pipeline — and its pinned determinism fingerprints —
     /// are untouched unless a study opts in.
     pub defense: DefenseConfig,
-    /// Emit one progress snapshot every this many proxies (global
-    /// deterministic order), plus a final one when the last proxy
-    /// lands. The snapshot stream is a pure function of
-    /// `(seed, snapshot_every)`, so it is part of the determinism
-    /// contract for any thread count.
-    pub snapshot_every: usize,
 }
 
 impl StudyConfig {
@@ -67,7 +61,6 @@ impl StudyConfig {
             reliability: ReliabilityConfig::default(),
             obs_level: obs::Level::Events,
             defense: DefenseConfig::default(),
-            snapshot_every: 100,
         }
     }
 
@@ -88,7 +81,6 @@ impl StudyConfig {
             reliability: ReliabilityConfig::default(),
             obs_level: obs::Level::Events,
             defense: DefenseConfig::default(),
-            snapshot_every: 8,
         }
     }
 }

@@ -21,7 +21,7 @@ use netsim::{FilterPolicy, NodeId, WorldNet};
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
 use worldmap::market::{claim_popularity_order, MarketSurvey};
-use worldmap::{CountryId, WorldAtlas};
+use worldmap::CountryId;
 
 /// Static profile of one provider.
 #[derive(Debug, Clone)]
@@ -278,23 +278,13 @@ fn assign_network_metadata(world: &mut WorldNet, proxies: &mut [DeployedProxy]) 
     }
 }
 
-/// Helper: atlas lookup of where the study's havens are (for reporting).
-pub fn haven_iso_codes(atlas: &WorldAtlas) -> Vec<&'static str> {
-    atlas
-        .countries()
-        .iter()
-        .filter(|c| c.hosting() >= 0.55)
-        .map(|c| c.iso2())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use geokit::GeoGrid;
     use netsim::WorldNetConfig;
     use std::sync::{Arc, OnceLock};
-    use worldmap::Continent;
+    use worldmap::{Continent, WorldAtlas};
 
     struct Fixture {
         world: WorldNet,

@@ -337,26 +337,22 @@ pub fn render_confusion(matrix: &ConfusionMatrix, max_axis: usize) -> String {
     out
 }
 
-/// The operations dashboard: run progress, latency/retry quantiles,
+/// The operations dashboard: proxies audited, latency/retry quantiles,
 /// and the SLO alert verdict. `metrics` is the study's exposition (see
-/// [`crate::ops::study_metrics`]) and `alerts` the result of evaluating
-/// the SLO ruleset over it. Quantiles come from the power-of-two
+/// [`crate::ops::study_metrics`]) and `alerts` the result of
+/// [`crate::ops::evaluate_slos`] over it. Quantiles come from the power-of-two
 /// histograms, so they are deterministic.
 pub fn render_ops(
     results: &StudyResults,
     metrics: &obs::export::MetricSet,
-    alerts: &[obs::alert::Alert],
+    alerts: &[crate::ops::Alert],
 ) -> String {
     let mut out = String::new();
-    let done = results.records.len() + results.failures.len();
     let _ = writeln!(
         out,
-        "progress: {done} proxies audited in {} snapshots (every {} proxies)",
-        results.snapshots.len(),
-        results
-            .snapshots
-            .first()
-            .map_or(0, |s| s.proxies_done.max(1)),
+        "progress: {} proxies audited, {} measured",
+        results.records.len() + results.failures.len(),
+        results.records.len(),
     );
     let loss = metrics.value("pv_probe_loss_rate", &[]).unwrap_or(0.0);
     let _ = writeln!(out, "probe loss rate: {:.2} %", loss * 100.0);

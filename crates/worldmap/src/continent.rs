@@ -65,23 +65,6 @@ impl Continent {
             Continent::Australia => "Australia",
         }
     }
-
-    /// A representative interior point of the continent, used by the
-    /// two-phase measurement to pick "three anchors per continent" and to
-    /// sanity-check continent inference.
-    pub fn representative_point(self) -> geokit::GeoPoint {
-        let (lat, lon) = match self {
-            Continent::Europe => (50.0, 15.0),
-            Continent::Africa => (5.0, 20.0),
-            Continent::Asia => (30.0, 100.0),
-            Continent::Oceania => (-5.0, 130.0),
-            Continent::NorthAmerica => (45.0, -100.0),
-            Continent::CentralAmerica => (17.0, -90.0),
-            Continent::SouthAmerica => (-15.0, -60.0),
-            Continent::Australia => (-25.0, 134.0),
-        };
-        geokit::GeoPoint::new(lat, lon)
-    }
 }
 
 impl std::fmt::Display for Continent {

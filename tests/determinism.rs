@@ -105,8 +105,7 @@ fn thread_count_never_changes_the_study() {
 /// `Study::run_sharded` survives only as a forwarder for callers of the
 /// old shard API; it ignores the shard count, so any shard count × any
 /// worker budget must reproduce the 1-thread run byte for byte: the
-/// fingerprint, the JSONL trace, the rendered observability block and
-/// the deterministic half of the progress-snapshot stream.
+/// fingerprint, the JSONL trace and the rendered observability block.
 #[test]
 fn shard_count_never_changes_the_study() {
     use proxy_verifier::vpnstudy::report;
@@ -115,7 +114,6 @@ fn shard_count_never_changes_the_study() {
             full_fingerprint(&results),
             results.trace_jsonl(),
             report::render_observability(&results),
-            results.snapshots_jsonl(),
         )
     };
     let reference = run(Study::build(StudyConfig::small(77)).run_with_threads(1));
@@ -146,13 +144,11 @@ fn more_threads_than_proxies_is_byte_identical_too() {
 }
 
 /// The observability layer's determinism contract: the JSONL event
-/// trace, the rendered observability block and the deterministic half
-/// of the progress-snapshot stream are byte-identical at any thread
-/// count. Per-proxy event buffers and snapshot deltas are recorded
-/// worker-locally and absorbed in proxy order, so the merged streams
-/// must not depend on which worker measured which proxy — only the
-/// wall-clock compartment (timing spans, elapsed time) may differ, and
-/// it is excluded here.
+/// trace and the rendered observability block are byte-identical at any
+/// thread count. Per-proxy event buffers are recorded worker-locally
+/// and absorbed in proxy order, so the merged stream must not depend on
+/// which worker measured which proxy — only the wall-clock compartment
+/// (timing spans, elapsed time) may differ, and it is excluded here.
 #[test]
 fn trace_and_observability_report_are_thread_count_invariant() {
     use proxy_verifier::vpnstudy::report;
@@ -162,18 +158,16 @@ fn trace_and_observability_report_are_thread_count_invariant() {
         (
             results.trace_jsonl(),
             report::render_observability(&results),
-            results.snapshots_jsonl(),
         )
     };
-    let (trace1, obs1, snaps1) = run(1);
+    let (trace1, obs1) = run(1);
     assert!(
         trace1.lines().count() > 100,
         "trace suspiciously small: {} lines",
         trace1.lines().count()
     );
-    assert!(!snaps1.is_empty(), "study produced no progress snapshots");
     for threads in [8, 16] {
-        let (trace_n, obs_n, snaps_n) = run(threads);
+        let (trace_n, obs_n) = run(threads);
         assert_eq!(
             trace1, trace_n,
             "JSONL trace diverged between 1 and {threads} threads"
@@ -181,10 +175,6 @@ fn trace_and_observability_report_are_thread_count_invariant() {
         assert_eq!(
             obs1, obs_n,
             "observability report diverged between 1 and {threads} threads"
-        );
-        assert_eq!(
-            snaps1, snaps_n,
-            "snapshot stream diverged between 1 and {threads} threads"
         );
     }
 }

@@ -142,7 +142,7 @@ fn faulted_campaign_is_deterministic() {
     assert_eq!(digest(&a), digest(&b), "faulted campaign not reproducible");
 }
 
-/// The SLO alert engine sees the faults: with 10 % of landmarks dark,
+/// The SLO rules see the faults: with 10 % of landmarks dark,
 /// every proxy burns its retry budget against them, so the default
 /// `retry_exhaustion` rule (`pv_retry_exhaustion_total > 10`) must trip
 /// — and the fault-free run must stay quiet on the same ruleset.
